@@ -151,3 +151,108 @@ def test_dense_matrix_validation():
         DenseMatrix(2, 2, np.zeros((2, 2), dtype=np.int16), 8192)
     with pytest.raises(DimensionMismatch):
         DenseMatrix(2, 3, np.zeros((2, 2), dtype=np.int16), P)
+
+
+# ---------------------------------------------------------------------------
+# adversarial equality against reference_rank (Hypothesis)
+
+from hypothesis import given, settings, strategies as st
+
+from chowdefect.gflinalg import DEFAULT_BLOCK, _LEAF_WIDTH
+
+# p = 2 has the most accidental dependencies; 32749 is the largest prime
+# below 2^15, where the float64 accumulation bound is tightest.
+PRIMES = (2, 3, P, 32749)
+EDGE_WIDTHS = (1, _LEAF_WIDTH - 1, _LEAF_WIDTH, _LEAF_WIDTH + 1, 2 * _LEAF_WIDTH,
+               DEFAULT_BLOCK - 1, DEFAULT_BLOCK, DEFAULT_BLOCK + 1)
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def adversarial_matrices(draw, rows=st.integers(1, 64), cols=None):
+    """(p, A): a low-rank matrix over Z_p with zero columns, repeated
+    columns and scrambled pivot rows mixed in."""
+    p = draw(st.sampled_from(PRIMES))
+    r = draw(rows)
+    c = draw(cols if cols is not None else st.sampled_from(EDGE_WIDTHS) | st.integers(1, 300))
+    k = draw(st.integers(0, min(r, c)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # staircase: column j's first nonzero sits at row j (mod k), so
+        # the leaf finds pivots in row order -- until the rows are scrambled
+        A = np.zeros((r, c), dtype=np.int64)
+        for j in range(c):
+            top = j % max(k, 1)
+            if k:
+                A[top, j] = rng.integers(1, p)
+                A[top + 1 : k, j] = rng.integers(0, p, k - top - 1)
+    else:
+        A = (rng.integers(0, p, (r, k)) @ rng.integers(0, p, (k, c))) % p
+    zeros = draw(st.integers(0, c // 3))
+    A[:, rng.choice(c, zeros, replace=False)] = 0
+    repeats = draw(st.integers(0, c // 3))
+    A[:, rng.choice(c, repeats)] = A[:, rng.choice(c, repeats)]
+    if draw(st.booleans()):
+        A = A[rng.permutation(r)]
+    return p, A
+
+
+def rank_of(A, p, block=DEFAULT_BLOCK):
+    return rank_mod_p(from_columns(list(A.T), p, rows=A.shape[0]), block=block)
+
+
+@PROPERTY
+@given(adversarial_matrices(), st.sampled_from((7, _LEAF_WIDTH, _LEAF_WIDTH + 1, DEFAULT_BLOCK)))
+def test_property_rank_mod_p_matches_reference(case, block):
+    p, A = case
+    assert rank_of(A, p, block) == reference_rank(A, p)
+
+
+@PROPERTY
+@given(adversarial_matrices(), st.lists(st.sampled_from(EDGE_WIDTHS), min_size=1, max_size=6))
+def test_property_streaming_matches_reference(case, widths):
+    """Uneven block widths, cycled, as a streaming builder may deliver them."""
+    p, A = case
+    blocks, at, i = [], 0, 0
+    while at < A.shape[1]:
+        w = widths[i % len(widths)]
+        blocks.append(A[:, at : at + w].astype(np.float64))
+        at, i = at + w, i + 1
+    want = reference_rank(A, p)
+    assert rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1]) == want
+
+
+@PROPERTY
+@given(adversarial_matrices(rows=st.integers(2, 200), cols=st.integers(1, 60)))
+def test_property_tall_matrices_take_transpose(case):
+    p, A = case
+    if A.shape[0] <= A.shape[1]:
+        A = np.vstack([A] * (A.shape[1] // A.shape[0] + 1))  # repeated rows make it tall
+    assert rank_of(A, p) == reference_rank(A, p)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(adversarial_matrices(rows=st.integers(_LEAF_WIDTH + 1, 130),
+                            cols=st.integers(DEFAULT_BLOCK - 8, DEFAULT_BLOCK + 60)))
+def test_property_many_pivots_in_one_block(case):
+    """Enough rows that one 256-wide block holds several leaf chunks of pivots."""
+    p, A = case
+    assert rank_of(A, p) == reference_rank(A, p)
+
+
+@PROPERTY
+@given(st.sampled_from(PRIMES), st.integers(2, 90), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_property_deficiency_inside_one_block(p, rows, new, seed):
+    """A second block mixing combinations of the first block's columns with
+    a few new directions: its rank deficiency is internal to the block."""
+    rng = np.random.default_rng(seed)
+    k = min(rows // 2, 60)
+    base = rng.integers(0, p, (rows, k))
+    mix = (base @ rng.integers(0, p, (k, DEFAULT_BLOCK - new))) % p
+    fresh = (rng.integers(0, p, (rows, 3)) @ rng.integers(0, p, (3, new))) % p
+    second = np.hstack([mix, fresh])[:, rng.permutation(DEFAULT_BLOCK)]
+    A = np.hstack([base, second])
+    want = reference_rank(A, p)
+    assert rank_of(A, p) == want
+    blocks = iter([base.astype(np.float64), second.astype(np.float64)])
+    assert rank_from_column_blocks(blocks, rows, p) == want
