@@ -45,6 +45,7 @@ from .bolattice import (
     LatticeConfig,
     NegativeCount,
     PointPlan,
+    RankContradiction,
     Statement,
     VerificationOutcome,
     a_i,

@@ -25,7 +25,9 @@ differ in how the subspaces are realized:
 
 A rank below expdim proves nothing (bad luck or a too-small field), so
 failed comparisons retry with derived seeds and finally report
-UNVERIFIED, never FALSE.
+UNVERIFIED, never FALSE.  A rank above expdim contradicts the upper
+bound a_i(t) and raises RankContradiction: the arithmetic or the
+builder is wrong, and no retry can fix that.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ SUB, SUPER, EQUI = "SUB", "SUPER", "EQUI"
 
 class NegativeCount(ArithmeticError):
     """A point count came out negative: the s function is inconsistent."""
+
+
+class RankContradiction(ArithmeticError):
+    """A rank above the expected dimension, which is an upper bound."""
 
 
 @dataclass(frozen=True)
@@ -519,6 +525,24 @@ class VerificationOutcome:
     forms: tuple                # ((label, coeffs tuple), ...) of the final attempt
 
 
+class _PullTimer:
+    """Iterator over column blocks that times only the pulls."""
+
+    def __init__(self, blocks: Iterator[np.ndarray]):
+        self.blocks = iter(blocks)
+        self.seconds = 0.0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        tic = time.perf_counter()
+        try:
+            return next(self.blocks)
+        finally:
+            self.seconds += time.perf_counter() - tic
+
+
 def plan_statement(config: LatticeConfig, t: int, branch: str):
     """Shape, expectation and memory estimate without building anything."""
     i = config.K(t)
@@ -534,7 +558,9 @@ def plan_statement(config: LatticeConfig, t: int, branch: str):
         eliminated_row_count(config, t, i) if config.family == CUBICS else 0
     )
     build_bytes = rows * cols * 2
-    basis_bytes = 8 * min(rows, cols) ** 2
+    # the free-row basis stores at most rows*r - r^2/2 float64 entries at rank r
+    r = min(rows, cols)
+    basis_bytes = 8 * (rows * r - r * r // 2)
     return {
         "family": config.family,
         "t": t,
@@ -568,7 +594,8 @@ def verify_statement(
 
     The verdict is TRUE when the rank equals the expected dimension and
     UNVERIFIED otherwise -- a shortfall can always be bad luck over a
-    small field, so it is never reported as a refutation.
+    small field, so it is never reported as a refutation.  A rank above
+    the expected dimension raises RankContradiction.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -592,13 +619,15 @@ def verify_statement(
         tic = time.perf_counter()
         spec = prepare_build(config, t, i, plan.eta, plan.mu, sampler)
         if streaming:
+            # columns are generated while the rank pulls them: charge the pulls to construction
+            pulls = _PullTimer(column_blocks(spec, field, block))
             construct_seconds = time.perf_counter() - tic
             tic = time.perf_counter()
             found = rank_from_column_blocks(
-                column_blocks(spec, field, block), spec.rows, field.modulus,
-                total_cols=spec.cols, progress=progress,
+                pulls, spec.rows, field.modulus, total_cols=spec.cols, progress=progress,
             )
-            rank_seconds = time.perf_counter() - tic
+            rank_seconds = time.perf_counter() - tic - pulls.seconds
+            construct_seconds += pulls.seconds
         else:
             blocks = column_blocks(spec, field, block)
             data = np.empty((spec.rows, spec.cols), dtype=np.int16, order="F")
@@ -612,6 +641,11 @@ def verify_statement(
             found = rank_mod_p(matrix, block=block, progress=progress)
             rank_seconds = time.perf_counter() - tic
         attempts.append((attempt_seed, found))
+        if found > expected:
+            raise RankContradiction(
+                f"{config.family} t={t} {branch}: rank {found} exceeds the expected "
+                f"dimension {expected}, an upper bound (seed {attempt_seed})"
+            )
         if found == expected:
             break
     verdict = "TRUE" if found == expected else "UNVERIFIED"

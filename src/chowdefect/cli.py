@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, NonIntegralValue, BudgetExceeded, ValueError) as exc:
+    except (DomainError, NonIntegralValue, BudgetExceeded, bolattice.RankContradiction, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -6,9 +6,15 @@ in blocks.  Rank is computed by a blocked elimination that accumulates a
 column basis in generations: each incoming block of columns is cleared
 against every earlier generation with one matrix product per generation,
 and the genuinely new pivots are Jordan-normalized among themselves and
-frozen as the next generation.  A generation is exactly zero on all
-earlier pivot rows and an identity on its own, so clearing never needs
-to touch the stored basis again.
+frozen as the next generation.
+
+The basis keeps a row permutation, as a PLUQ factorization does (Dumas,
+Giorgi & Pernet, ACM TOMS 2008), so that the rows without a pivot form a
+contiguous suffix.  A generation is exactly zero on every earlier pivot
+row and the identity on its own, so it is stored only on the rows below
+its pivot block, and both clearing and pivot extraction touch only the
+rows still free.  The stored basis therefore never exceeds
+8 * (n*r - r^2/2) bytes for n rows and rank r.
 
 All bulk arithmetic runs in float64 BLAS calls on integers.  Entries are
 kept in 0..P-1 with P < 2^15 and reduction is delayed: a cleared block
@@ -89,7 +95,7 @@ def row_select(m: DenseMatrix, keep) -> DenseMatrix:
     return DenseMatrix(int(idx.size), m.cols, data, m.modulus)
 
 
-_LEAF_WIDTH = 48  # below this, unblocked rank-1 elimination beats matmuls
+_LEAF_WIDTH = 48  # below this, column-at-a-time elimination beats matmuls
 
 
 def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
@@ -109,42 +115,38 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     return arr
 
 
-def _unit_lower_inverse(M: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a unit lower triangular matrix mod p (exact float64)."""
-    g = M.shape[0]
-    X = np.zeros((g, g), dtype=np.float64)
-    for k in range(g):
-        X[k, :] = _reduce_mod(-(M[k, :k] @ X[:k, :]), p)
-        X[k, k] = (X[k, k] + 1) % p
-    return X
-
-
 def _extract_leaf(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None, list[int]]:
-    """Unblocked right-looking elimination on a narrow cleared block."""
-    bcols = B.shape[1]
-    new_cols: list[int] = []
-    new_rows: list[int] = []
-    for c in range(bcols):
-        col = B[:, c]
-        _reduce_mod(col, p)  # clear multiples of p left by delayed reduction
-        nz = np.nonzero(col)[0]
+    """Unblocked left-looking elimination on a narrow cleared block.
+
+    Each column is cleared against the pivots found so far with two
+    matrix-vector products, through X, the running inverse of the pivot
+    columns restricted to their pivot rows (lower triangular).  The
+    columns are kept unnormalized; C @ X is their Jordan form.
+    """
+    cols = np.array(B.T)  # one contiguous row per column of B
+    C = np.empty((B.shape[0], min(cols.shape[0], cap)), dtype=np.float64, order="F")
+    X = np.zeros((C.shape[1], C.shape[1]), dtype=np.float64)
+    rows: list[int] = []
+    for col in cols:
+        k = len(rows)
+        if k:
+            col -= C[:, :k] @ _reduce_mod(X[:k, :k] @ col[rows], p)
+        _reduce_mod(col, p)
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         row = int(nz[0])
         inv = pow(int(col[row]), p - 2, p)
-        col *= inv
-        _reduce_mod(col, p)
-        if c + 1 < bcols:
-            tail = _reduce_mod(B[row, c + 1 :].copy(), p)
-            B[:, c + 1 :] -= col[:, None] * tail[None, :]
-        new_cols.append(c)
-        new_rows.append(row)
-        if len(new_rows) == cap:
+        C[:, k] = col
+        X[k, :k] = _reduce_mod(_reduce_mod(-(C[row, :k] @ X[:k, :k]), p) * inv, p)
+        X[k, k] = inv
+        rows.append(row)
+        if k + 1 == cap:
             break
-    if not new_rows:
+    if not rows:
         return None, []
-    Cn = np.ascontiguousarray(B[:, new_cols])
-    return Cn, new_rows
+    k = len(rows)
+    return _reduce_mod(C[:, :k] @ X[:k, :k], p), rows
 
 
 def _extract_jordan(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None, list[int]]:
@@ -157,36 +159,64 @@ def _extract_jordan(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None,
     if B.shape[1] == 0 or cap <= 0:
         return None, []
     if B.shape[1] <= _LEAF_WIDTH:
-        Cn, rows = _extract_leaf(B, p, cap)
-        if not rows:
-            return None, []
-    else:
-        temp = _GenerationBasis(B.shape[0], p, limit=cap)
-        step = max(_LEAF_WIDTH, (B.shape[1] + 3) // 4)
-        for a in range(0, B.shape[1], step):
-            chunk = np.ascontiguousarray(B[:, a : a + step])
-            temp.clear_block(chunk)
-            temp.absorb(chunk)
-            if temp.rank == cap:
-                break
-        if temp.rank == 0:
-            return None, []
-        rows = [r for _, _, gen_rows in temp.generations for r in gen_rows]
-        Cn = np.ascontiguousarray(temp.S[:, : temp.rank])
-    # Cn on its own pivot rows is unit lower triangular (later columns are
-    # cleared on earlier pivots); normalize it to an exact identity there.
-    X = _unit_lower_inverse(Cn[rows, :], p)
-    return _reduce_mod(Cn @ X, p), rows
+        return _extract_leaf(B, p, cap)
+    temp = _GenerationBasis(B.shape[0], p, limit=cap)
+    step = max(_LEAF_WIDTH, (B.shape[1] + 3) // 4)
+    for a in range(0, B.shape[1], step):
+        temp.absorb(temp.clear_block(B[:, a : a + step]))
+        if temp.rank == cap:
+            break
+    g = temp.rank
+    if g == 0:
+        return None, []
+    # In basis order the generations stack into an m x g matrix whose top
+    # g x g block L is block unit lower triangular.  Its inverse X follows
+    # by block forward substitution, X[i, :i] = -L[i, :i] @ X[:i, :i], one
+    # product per generation; C @ X is the identity on top, and its rows
+    # are scattered back to the block's own row order.
+    C = np.zeros((B.shape[0], g), dtype=np.float64)
+    X = np.eye(g)
+    for start, end, T in temp.generations:
+        C[start:end, start:end] = np.eye(end - start)
+        C[end:, start:end] = T
+        X[start:end, :start] = _reduce_mod(-(C[start:end, :start] @ X[:start, :start]), p)
+    Cn = np.empty_like(C)
+    Cn[temp.perm[:g]] = np.eye(g)
+    Cn[temp.perm[g:]] = _reduce_mod(C[g:] @ X, p)
+    return Cn, temp.perm[:g].tolist()
+
+
+def _pivot_moves(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row moves (dest, src) that bring row rows[i] to position i.
+
+    Only the g = len(rows) leading positions and the pivot rows beyond
+    them change: each non-pivot row displaced from the front takes the
+    place of a pivot row.  So X[dest] = X[src] touches at most 2g rows,
+    the same rows a sequence of LAPACK laswp swaps would.
+    """
+    g = len(rows)
+    piv = np.asarray(rows, dtype=np.intp)
+    displaced = np.ones(g, dtype=bool)
+    displaced[piv[piv < g]] = False
+    dest = np.concatenate([np.arange(g), piv[piv >= g]])
+    src = np.concatenate([piv, np.nonzero(displaced)[0]])
+    return dest, src
 
 
 class _GenerationBasis:
-    """Column basis accumulated in Jordan-normalized generations.
+    """Column basis accumulated in Jordan-normalized generations, stored on
+    free rows only.
 
-    Each generation's columns are 1 on their own pivot rows (one each,
-    identity pattern), 0 on every pivot row of earlier generations, and
-    otherwise arbitrary; incoming blocks are cleared generation by
-    generation in order, which never requires touching a stored
-    generation again.
+    `perm` maps basis positions to input rows.  Positions 0..rank-1 hold
+    the pivot rows in the order they were found and the rest are free.
+    A generation with pivot positions start..end-1 has columns that are
+    zero above start and the identity on its own block, so only its
+    (length - end) x g part below the block is stored.  Incoming blocks
+    are permuted once and cleared generation by generation in order,
+    each product touching only the rows below that generation.  New
+    pivot rows are moved to the front of the free suffix by row swaps
+    that are applied to every stored generation, so no generation is
+    ever recomputed or gathered in full.
     """
 
     def __init__(self, length: int, p: int, limit: int | None = None):
@@ -195,37 +225,39 @@ class _GenerationBasis:
         self.length = length
         self.p = p
         self.limit = length if limit is None else limit
-        self.cap = 64
-        self.S = np.zeros((length, self.cap), dtype=np.float64)
-        self.generations: list[tuple[int, int, list[int]]] = []  # (start, end, pivot rows)
+        self.perm = np.arange(length)
+        self.generations: list[tuple[int, int, np.ndarray]] = []  # (start, end, rows below end)
         self.rank = 0
 
-    def clear_block(self, B: np.ndarray) -> None:
-        """Zero every pivot row out of block B, in place, then reduce."""
-        p = self.p
-        for start, end, rows in self.generations:
-            U = _reduce_mod(B[rows, :].copy(), p)
-            B -= self.S[:, start:end] @ U
-        _reduce_mod(B, p)
+    def clear_block(self, B: np.ndarray) -> np.ndarray:
+        """The free rows of block B, cleared against all generations and reduced.
 
-    def absorb(self, B: np.ndarray) -> int:
-        """Extract new pivots from a cleared block; returns how many.
-
-        B must be cleared against all generations and reduced mod p.
+        B is (length x b) in input row order and is left untouched; the
+        result is a new (length - rank) x b float64 array in basis order.
         """
-        Cj, rows = _extract_jordan(B, self.p, self.limit - self.rank)
+        p = self.p
+        if self.rank:
+            Bp = np.asarray(B[self.perm], dtype=np.float64)
+        else:
+            Bp = np.array(B, dtype=np.float64, order="C")
+        for start, end, T in self.generations:
+            U = _reduce_mod(Bp[start:end].copy(), p)
+            Bp[end:] -= T @ U
+        return _reduce_mod(Bp[self.rank :], p)
+
+    def absorb(self, F: np.ndarray) -> int:
+        """Extract new pivots from the output of clear_block; returns how many."""
+        Cj, rows = _extract_jordan(F, self.p, self.limit - self.rank)
         if not rows:
             return 0
         g = len(rows)
-        start = self.rank
-        if start + g > self.cap:
-            while self.cap < start + g:
-                self.cap *= 2
-            S = np.zeros((self.length, self.cap), dtype=np.float64)
-            S[:, :start] = self.S[:, :start]
-            self.S = S
-        self.S[:, start : start + g] = Cj
-        self.generations.append((start, start + g, rows))
+        r = self.rank
+        dest, src = _pivot_moves(rows)
+        self.perm[r + dest] = self.perm[r + src]
+        for _, end, T in self.generations:
+            T[r - end + dest] = T[r - end + src]
+        Cj[dest] = Cj[src]
+        self.generations.append((r, r + g, Cj[g:].copy()))
         self.rank += g
         return g
 
@@ -241,20 +273,20 @@ def rank_from_column_blocks(
 
     Blocks are (n_rows x b) arrays with entries already in 0..P-1.  The
     matrix is never materialized, so this doubles as the streaming
-    elimination mode; peak memory is the n_rows x rank basis.  Stops
-    consuming blocks once the rank hits n_rows.
+    elimination mode; peak memory is the basis on its free rows, at most
+    8 * (n_rows*r - r^2/2) bytes at rank r.  Stops consuming blocks once
+    the rank hits n_rows.
     """
     if n_rows == 0:
         return 0
     basis = _GenerationBasis(n_rows, modulus)
     done = 0
     for raw in blocks:
-        B = np.array(raw, dtype=np.float64, order="C", copy=True)
+        B = np.asarray(raw)
         if B.ndim != 2 or B.shape[0] != n_rows:
             raise DimensionMismatch(f"block shape {B.shape} incompatible with {n_rows} rows")
         done += B.shape[1]
-        basis.clear_block(B)
-        basis.absorb(B)
+        basis.absorb(basis.clear_block(B))
         if progress is not None:
             progress(done, total_cols if total_cols is not None else -1, basis.rank)
         if basis.rank == n_rows:

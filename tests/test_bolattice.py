@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -319,3 +320,56 @@ def test_cubics_top_order_structure():
     assert spec.cols == 3 * 3 * 27
     rank = rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, 8191, total_cols=spec.cols)
     assert rank == 3 * 81
+
+
+def test_rank_above_expected_is_a_contradiction(monkeypatch):
+    """An expected dimension below the true rank must raise, not retry into UNVERIFIED."""
+    plan = bo.plan_statement
+
+    def too_small(config, t, branch):
+        info = plan(config, t, branch)
+        return {**info, "expected": info["expected"] - 1}
+
+    monkeypatch.setattr(bo, "plan_statement", too_small)
+    with pytest.raises(bo.RankContradiction, match="quaternary t=6 s2"):
+        bo.verify_statement(QUAT, 6, "s2", seed=3, field=F)
+
+
+def test_basis_storage_within_plan(monkeypatch):
+    """The stored generations of a desk-scale rank fit the planner's basis_bytes."""
+    from chowdefect import gflinalg
+
+    bases = []
+
+    class Recording(gflinalg._GenerationBasis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            bases.append(self)
+
+    monkeypatch.setattr(gflinalg, "_GenerationBasis", Recording)
+    # wide and full rank, then tall (rank_mod_p eliminates the transpose)
+    for cfg, t, branch in ((QUAT, 16, "s2"), (CUB, 8, "s1")):
+        bound = bo.plan_statement(cfg, t, branch)["basis_bytes"]
+        for streaming in (False, True):
+            bases.clear()
+            out = bo.verify_statement(cfg, t, branch, seed=5, field=F, streaming=streaming)
+            assert out.verdict == "TRUE"
+            outer = bases[0]  # inner recursion bases come later and are transient
+            assert outer.rank == out.found
+            stored = sum(T.nbytes for _, _, T in outer.generations)
+            assert 0 < stored <= bound
+
+
+def test_streaming_charges_column_pulls_to_construction(monkeypatch):
+    blocks = bo.column_blocks
+
+    def slow_blocks(*args, **kwargs):
+        for b in blocks(*args, **kwargs):
+            time.sleep(0.2)
+            yield b
+
+    monkeypatch.setattr(bo, "column_blocks", slow_blocks)
+    out = bo.verify_statement(QUAT, 6, "s2", seed=3, field=F, streaming=True)
+    assert out.verdict == "TRUE"
+    assert out.construct_seconds >= 0.2
+    assert out.rank_seconds < 0.2

@@ -163,3 +163,17 @@ def test_mem_cap_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", "8")
     code, _, _ = run(capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1", "--seed", "1")
     assert code == 0
+
+
+def test_verify_rank_contradiction_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    plan = bo.plan_statement
+
+    def too_small(config, t, branch):
+        info = plan(config, t, branch)
+        return {**info, "expected": info["expected"] - 1}
+
+    monkeypatch.setattr(bo, "plan_statement", too_small)
+    code, _, err = run(capsys, "verify", "--family", "cubics", "--t", "5", "--branch", "s2", "--seed", "1")
+    assert code == 1
+    assert "cubics t=5 s2" in err and "exceeds the expected" in err
