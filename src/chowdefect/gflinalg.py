@@ -169,15 +169,15 @@ def _extract_jordan(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None,
     g = temp.rank
     if g == 0:
         return None, []
-    # In basis order the generations stack into an m x g matrix whose top
-    # g x g block L is block unit lower triangular.  Its inverse X follows
-    # by block forward substitution, X[i, :i] = -L[i, :i] @ X[:i, :i], one
-    # product per generation; C @ X is the identity on top, and its rows
-    # are scattered back to the block's own row order.
-    C = np.zeros((B.shape[0], g), dtype=np.float64)
+    # In basis order the generations stack into an m x g matrix C whose
+    # top g x g block L is block unit lower triangular.  Its inverse X
+    # follows by block forward substitution, X[i, :i] = -L[i, :i] @ X[:i, :i],
+    # one product per generation, which reads C only below the diagonal
+    # blocks; C @ X is the identity on top, and its rows are scattered
+    # back to the block's own row order.
+    C = np.empty((B.shape[0], g), dtype=np.float64)
     X = np.eye(g)
     for start, end, T in temp.generations:
-        C[start:end, start:end] = np.eye(end - start)
         C[end:, start:end] = T
         X[start:end, :start] = _reduce_mod(-(C[start:end, :start] @ X[:start, :start]), p)
     Cn = np.empty_like(C)
