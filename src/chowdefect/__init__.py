@@ -9,7 +9,6 @@ resulting certificates independently.
 from .finite_calculus import (
     NonIntegralValue,
     Quasipolynomial,
-    StepDifference,
     backward_diff,
     binomial,
     make_proof_functions,
@@ -31,7 +30,7 @@ from .gfpoly import (
     naive_product_oracle,
     product_of_linear_forms,
 )
-from .gflinalg import DenseMatrix, dump_text, from_columns, load_text, rank_mod_p, row_select
+from .gflinalg import DenseMatrix, from_columns, rank_mod_p
 from .chow import (
     ChowPoint,
     DomainError,
@@ -51,8 +50,6 @@ from .bolattice import (
     a_i,
     abundance,
     base_case_schedule,
-    build_degree_induction,
-    build_dimension_induction,
     cubics_config,
     induction_arithmetic_check,
     point_plan,

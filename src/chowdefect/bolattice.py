@@ -46,7 +46,6 @@ from .finite_calculus import (
     make_proof_functions,
 )
 from .gfpoly import (
-    BudgetExceeded,
     HomPoly,
     LinearForm,
     PrimeField,
@@ -56,14 +55,7 @@ from .gfpoly import (
     mul_linear,
     variable_insertion_map,
 )
-from .gflinalg import (
-    DEFAULT_BLOCK,
-    DenseMatrix,
-    ProgressHook,
-    rank_from_column_blocks,
-    rank_mod_p,
-    row_select,
-)
+from .gflinalg import DEFAULT_BLOCK, ProgressHook, rank_from_column_blocks
 from .sampling import FormSampler, derive_retry_seed
 
 QUATERNARY = "quaternary"
@@ -86,7 +78,6 @@ class LatticeConfig:
     """Family parameters shared by all statements of one induction."""
 
     family: str
-    alpha: int
     ell: int
     k0: int
     t0: int
@@ -127,14 +118,14 @@ def quaternary_config() -> LatticeConfig:
     """Degree induction for quaternary forms: X(t) is the degree-t Chow
     variety in 4 variables."""
     s1, s2 = make_proof_functions()
-    return LatticeConfig(QUATERNARY, alpha=0, ell=27, k0=3, t0=82, s1=s1, s2=s2)
+    return LatticeConfig(QUATERNARY, ell=27, k0=3, t0=82, s1=s1, s2=s2)
 
 
 def cubics_config() -> LatticeConfig:
     """Dimension induction for cubics: X(t) is the cubic Chow variety in
     t+1 variables."""
     s1, s2 = make_proof_functions()
-    return LatticeConfig(CUBICS, alpha=0, ell=27, k0=3, t0=82, s1=s1, s2=s2)
+    return LatticeConfig(CUBICS, ell=27, k0=3, t0=82, s1=s1, s2=s2)
 
 
 def config_for(family: str) -> LatticeConfig:
@@ -265,16 +256,14 @@ class BuildSpec:
     keyed: dict[tuple, np.ndarray]             # (role, i, j, gamma) -> coeffs
 
 
-def degree_column_counts(config: LatticeConfig, t: int, i: int, plan: PointPlan) -> int:
-    return (
-        i * binomial(t - config.ell + 3, 3)
-        + plan.eta * t * 4
-        + i * plan.mu * config.ell * 4
-    )
-
-
-def dimension_column_counts(config: LatticeConfig, t: int, i: int, plan: PointPlan) -> int:
-    return plan.eta * 3 * (t + 1) + plan.mu * i * 3 * config.ell
+def column_count(config: LatticeConfig, t: int, i: int, eta: int, mu: int) -> int:
+    """Columns of the order-i matrix with eta generic and mu per-subspace points."""
+    ell = config.ell
+    if config.family == QUATERNARY:
+        # R1 subspace generators, then tangent spaces: 4 columns per factor
+        return i * binomial(t - ell + 3, 3) + eta * t * 4 + i * mu * ell * 4
+    # 3 factor pairs per point, times the variables each pair is scattered to
+    return eta * 3 * (t + 1) + mu * i * 3 * ell
 
 
 def eliminated_row_count(config: LatticeConfig, t: int, i: int) -> int:
@@ -309,7 +298,7 @@ def _prepare_degree(config, t: int, i: int, eta: int, mu: int, source) -> BuildS
                 draw("f", f"f_{{{pt},{j},{g}}}", pi=pt, pj=j, gamma=g)
 
     rows = monomial_count(n, t)
-    cols = i * binomial(t - ell + 3, 3) + eta * t * 4 + i * mu * ell * 4
+    cols = column_count(config, t, i, eta, mu)
     return BuildSpec(QUATERNARY, t, i, ell, eta, mu, n, rows, rows, cols, None, forms, keyed)
 
 
@@ -398,7 +387,7 @@ def _prepare_dimension(config, t: int, i: int, eta: int, mu: int, source) -> Bui
     else:
         keep = None
     rows = rows_full if keep is None else int(keep.size)
-    cols = eta * 3 * (t + 1) + mu * i * 3 * ell
+    cols = column_count(config, t, i, eta, mu)
     return BuildSpec(CUBICS, t, i, ell, eta, mu, n, rows_full, rows, cols, keep, forms, keyed)
 
 
@@ -428,75 +417,25 @@ def _dimension_columns(spec: BuildSpec, field: PrimeField) -> Iterator[np.ndarra
 
 
 def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
+    """Draw a statement's forms and fix its shape; `source` is a FormSampler
+    (normal runs) or RecordedForms (reverify)."""
     if config.family == QUATERNARY:
         return _prepare_degree(config, t, i, eta, mu, source)
     return _prepare_dimension(config, t, i, eta, mu, source)
 
 
-def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK,
-                  restrict: bool = True) -> Iterator[np.ndarray]:
-    """The statement matrix as a stream of column blocks.
+def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
+    """The statement matrix as a stream of (spec.rows x <= block) column blocks.
 
-    With restrict=True the dimension-induction rows outside Y are
-    dropped from every block, which is what the rank wants; builders
-    that materialize the full matrix pass restrict=False and use
-    row_select afterwards.
+    Columns are generated as the blocks are pulled, and for dimension
+    induction every block keeps only the rows in Y, so the matrix exists
+    only one block at a time.
     """
     gen = _degree_columns(spec, field) if spec.family == QUATERNARY else _dimension_columns(spec, field)
     blocks = _batched(gen, spec.rows_full, block)
-    if restrict and spec.row_keep is not None:
+    if spec.row_keep is not None:
         return (b[spec.row_keep, :] for b in blocks)
     return blocks
-
-
-def _materialize(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK) -> DenseMatrix:
-    data = np.empty((spec.rows_full, spec.cols), dtype=np.int16, order="F")
-    at = 0
-    for b in column_blocks(spec, field, block, restrict=False):
-        data[:, at : at + b.shape[1]] = b
-        at += b.shape[1]
-    if at != spec.cols:
-        raise AssertionError(f"generated {at} columns, planned {spec.cols}")
-    return DenseMatrix(spec.rows_full, spec.cols, data, field.modulus)
-
-
-def build_degree_induction(config: LatticeConfig, t: int, branch: str, source, field: PrimeField,
-                           i: int | None = None):
-    """Materialized degree-induction matrix: (matrix, expected rank, spec).
-
-    `source` is a FormSampler (normal runs) or RecordedForms (reverify).
-    """
-    if config.family != QUATERNARY:
-        raise ValueError("degree induction is the quaternary family")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    plan = point_plan(config, t, branch, i)
-    spec = prepare_build(config, t, plan.order, plan.eta, plan.mu, source)
-    expected = min(a_i(config, plan.order, t, branch), config.N(t))
-    return _materialize(spec, field), expected, spec
-
-
-def build_dimension_induction(config: LatticeConfig, t: int, branch: str, source, field: PrimeField,
-                              i: int | None = None):
-    """Materialized dimension-induction matrix, restricted to the kept rows.
-
-    Returns (restricted matrix, kept row indices, expected restricted
-    rank, spec).  The expected rank subtracts the rows spanned exactly by
-    the coordinate subspaces.
-    """
-    if config.family != CUBICS:
-        raise ValueError("dimension induction is the cubics family")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    plan = point_plan(config, t, branch, i)
-    spec = prepare_build(config, t, plan.order, plan.eta, plan.mu, source)
-    full = _materialize(spec, field)
-    keep = spec.row_keep if spec.row_keep is not None else np.arange(spec.rows_full)
-    restricted = row_select(full, keep)
-    expected = min(a_i(config, plan.order, t, branch), config.N(t)) - eliminated_row_count(
-        config, t, plan.order
-    )
-    return restricted, keep, expected, spec
 
 
 # ---------------------------------------------------------------------------
@@ -544,23 +483,15 @@ class _PullTimer:
 
 
 def plan_statement(config: LatticeConfig, t: int, branch: str):
-    """Shape, expectation and memory estimate without building anything."""
+    """Shape, expectation and basis memory of the order-K(t) statement,
+    without building anything."""
     i = config.K(t)
     plan = point_plan(config, t, branch, i)
-    n_rows = config.N(t)
-    if config.family == QUATERNARY:
-        rows = n_rows
-        cols = degree_column_counts(config, t, i, plan)
-    else:
-        rows = n_rows - eliminated_row_count(config, t, i)
-        cols = dimension_column_counts(config, t, i, plan)
-    expected = min(a_i(config, i, t, branch), n_rows) - (
-        eliminated_row_count(config, t, i) if config.family == CUBICS else 0
-    )
-    build_bytes = rows * cols * 2
+    eliminated = eliminated_row_count(config, t, i) if config.family == CUBICS else 0
+    rows = config.N(t) - eliminated
+    cols = column_count(config, t, i, plan.eta, plan.mu)
     # the free-row basis stores at most rows*r - r^2/2 float64 entries at rank r
     r = min(rows, cols)
-    basis_bytes = 8 * (rows * r - r * r // 2)
     return {
         "family": config.family,
         "t": t,
@@ -571,10 +502,9 @@ def plan_statement(config: LatticeConfig, t: int, branch: str):
         "mu": plan.mu,
         "rows": rows,
         "cols": cols,
-        "expected": expected,
+        "expected": expected_dim(config, i, t, branch) - eliminated,
         "abundance": abundance(config, i, t, branch),
-        "build_bytes": build_bytes,
-        "basis_bytes": basis_bytes,
+        "basis_bytes": 8 * (rows * r - r * r // 2),
     }
 
 
@@ -585,61 +515,40 @@ def verify_statement(
     seed: int,
     field: PrimeField = PrimeField(8191),
     retries: int = 2,
-    streaming: bool = False,
-    mem_cap_bytes: int | None = None,
     block: int = DEFAULT_BLOCK,
     progress: ProgressHook | None = None,
 ) -> VerificationOutcome:
     """Build, rank, compare; retry with derived seeds on a rank shortfall.
 
-    The verdict is TRUE when the rank equals the expected dimension and
-    UNVERIFIED otherwise -- a shortfall can always be bad luck over a
-    small field, so it is never reported as a refutation.  A rank above
-    the expected dimension raises RankContradiction.
+    Columns are generated block by block as the rank consumes them, so
+    the matrix is never held whole; memory is the rank's basis, priced
+    by plan_statement's basis_bytes.  The verdict is TRUE when the rank
+    equals the expected dimension and UNVERIFIED otherwise -- a shortfall
+    can always be bad luck over a small field, so it is never reported as
+    a refutation.  A rank above the expected dimension raises
+    RankContradiction.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    i = config.K(t)
     info = plan_statement(config, t, branch)
-    if mem_cap_bytes is not None and not streaming:
-        need = info["build_bytes"] + info["basis_bytes"]
-        if need > mem_cap_bytes:
-            raise BudgetExceeded(
-                f"statement t={t} {branch} needs ~{need / 2**30:.1f} GiB "
-                f"(cap {mem_cap_bytes / 2**30:.1f} GiB); raise the cap or use streaming"
-            )
-    expected = info["expected"]
+    i, expected = info["i"], info["expected"]
     attempts = []
     attempt_seed = seed
     for attempt in range(retries + 1):
         if attempt > 0:
             attempt_seed = derive_retry_seed(seed, attempt)
         sampler = FormSampler(attempt_seed, field)
-        plan = point_plan(config, t, branch, i)
         tic = time.perf_counter()
-        spec = prepare_build(config, t, i, plan.eta, plan.mu, sampler)
-        if streaming:
-            # columns are generated while the rank pulls them: charge the pulls to construction
-            pulls = _PullTimer(column_blocks(spec, field, block))
-            construct_seconds = time.perf_counter() - tic
-            tic = time.perf_counter()
-            found = rank_from_column_blocks(
-                pulls, spec.rows, field.modulus, total_cols=spec.cols, progress=progress,
-            )
-            rank_seconds = time.perf_counter() - tic - pulls.seconds
-            construct_seconds += pulls.seconds
-        else:
-            blocks = column_blocks(spec, field, block)
-            data = np.empty((spec.rows, spec.cols), dtype=np.int16, order="F")
-            at = 0
-            for b in blocks:
-                data[:, at : at + b.shape[1]] = b
-                at += b.shape[1]
-            matrix = DenseMatrix(spec.rows, spec.cols, data, field.modulus)
-            construct_seconds = time.perf_counter() - tic
-            tic = time.perf_counter()
-            found = rank_mod_p(matrix, block=block, progress=progress)
-            rank_seconds = time.perf_counter() - tic
+        spec = prepare_build(config, t, i, info["eta"], info["mu"], sampler)
+        # columns are generated while the rank pulls them: charge the pulls to construction
+        pulls = _PullTimer(column_blocks(spec, field, block))
+        construct_seconds = time.perf_counter() - tic
+        tic = time.perf_counter()
+        found = rank_from_column_blocks(
+            pulls, spec.rows, field.modulus, total_cols=spec.cols, progress=progress,
+        )
+        rank_seconds = time.perf_counter() - tic - pulls.seconds
+        construct_seconds += pulls.seconds
         attempts.append((attempt_seed, found))
         if found > expected:
             raise RankContradiction(

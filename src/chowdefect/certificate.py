@@ -359,12 +359,9 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
 
     plan_consistent = expected_matches = None
     if branch in bolattice.BRANCHES:
-        plan = bolattice.point_plan(config, cert.t, branch, cert.i)
-        plan_consistent = (plan.eta, plan.mu) == (eta, mu)
-        expected = min(bolattice.a_i(config, cert.i, cert.t, branch), config.N(cert.t))
-        if family == bolattice.CUBICS:
-            expected -= bolattice.eliminated_row_count(config, cert.t, cert.i)
-        expected_matches = expected == cert.expected
+        plan = bolattice.plan_statement(config, cert.t, branch)
+        plan_consistent = (plan["i"], plan["eta"], plan["mu"]) == (cert.i, eta, mu)
+        expected_matches = plan["expected"] == cert.expected
 
     provenance = check_provenance(cert, family, keyed)
     rank_matches = rank == cert.found

@@ -22,7 +22,7 @@ from .finite_calculus import NonIntegralValue, newton_reconstruct
 from .gfpoly import BudgetExceeded, PrimeField
 
 SUMMARY_HEADER = "family\tt\ti\tbranch\trows\tcols\trank\texpected\tabundance\tverdict\tconstruct_s\trank_s\tseed"
-SCHEDULE_HEADER = "family\tt\ti\tbranch\tpoints\teta\tmu\trows\tcols\texpected\tabundance\tbuild_mb\tbasis_mb"
+SCHEDULE_HEADER = "family\tt\ti\tbranch\tpoints\teta\tmu\trows\tcols\texpected\tabundance\tbasis_mb"
 
 
 class UsageError(Exception):
@@ -93,34 +93,34 @@ def cmd_verify(args) -> int:
         for p in plans:
             print(_schedule_line(p))
         return 0
-    if not args.streaming:
-        for p in plans:
-            need = p["build_bytes"] + p["basis_bytes"]
-            if need > cap:
-                print(
-                    f"t={p['t']} {p['branch']} needs ~{need / 2**30:.1f} GiB against a "
-                    f"{cap / 2**30:.1f} GiB cap; raise --mem-cap-gb or pass --streaming",
-                    file=sys.stderr,
-                )
-                return 1
+    # the rank basis dominates memory, and --threads N holds N of them at once
+    largest = sorted(plans, key=lambda p: p["basis_bytes"], reverse=True)[: max(args.threads, 1)]
+    need = sum(p["basis_bytes"] for p in largest)
+    if need > cap:
+        names = ", ".join(f"t={p['t']} {p['branch']}" for p in largest)
+        needs = "needs" if len(largest) == 1 else "running together need"
+        print(
+            f"{names} {needs} ~{need / 2**30:.3g} GiB of rank basis against a "
+            f"{cap / 2**30:.3g} GiB cap; raise --mem-cap-gb",
+            file=sys.stderr,
+        )
+        return 1
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def run(stmt):
-        t, b = stmt
-        big = bolattice.plan_statement(config, t, b)["cols"] > 20000
+    def run(p):
+        t, b = p["t"], p["branch"]
         return bolattice.verify_statement(
             config, t, b, seed, field=field, retries=args.retries,
-            streaming=args.streaming, mem_cap_bytes=cap,
-            progress=_progress_printer(f"t={t} {b}") if big else None,
+            progress=_progress_printer(f"t={t} {b}") if p["cols"] > 20000 else None,
         )
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run, statements))
+            outcomes = list(pool.map(run, plans))
     else:
-        outcomes = [run(s) for s in statements]
+        outcomes = [run(p) for p in plans]
 
     all_true = True
     for outcome in outcomes:
@@ -145,7 +145,7 @@ def _schedule_line(p) -> str:
     return (
         f"{p['family']}\t{p['t']}\t{p['i']}\t{p['branch']}\t{p['points']}\t{p['eta']}\t{p['mu']}\t"
         f"{p['rows']}\t{p['cols']}\t{p['expected']}\t{p['abundance']}\t"
-        f"{p['build_bytes'] / 2**20:.1f}\t{p['basis_bytes'] / 2**20:.1f}"
+        f"{p['basis_bytes'] / 2**20:.1f}"
     )
 
 
@@ -253,8 +253,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mem-cap-gb", type=float, default=None,
                    help="defaults to $CHOWDEFECT_MEM_CAP_GB or 8")
     p.add_argument("--out", default="certificates", help="certificate output directory")
-    p.add_argument("--streaming", action="store_true",
-                   help="stream column blocks through elimination without materializing T")
     p.add_argument("--plan-only", action="store_true", help="print the plan and exit")
     p.set_defaults(func=cmd_verify)
 

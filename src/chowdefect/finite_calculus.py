@@ -19,7 +19,6 @@ and the residue table they depend on) live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -38,23 +37,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-@dataclass(frozen=True)
-class StepDifference:
-    """Backward difference operator of a given order with fixed step."""
-
-    step: int
-    order: int
-
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step}")
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-
-    def __call__(self, f: Callable[[int], int], t: int) -> int:
-        return backward_diff(f, self.order, t, self.step)
 
 
 def backward_diff(f: Callable[[int], int], i: int, t: int, ell: int) -> int:

@@ -1,12 +1,11 @@
 """Dense matrices and rank computation over Z_P.
 
-Storage is a single contiguous column-major int16 buffer (entries of any
-accepted prime fit 16 bits), since both matrix builders append columns
-in blocks.  Rank is computed by a blocked elimination that accumulates a
-column basis in generations: each incoming block of columns is cleared
-against every earlier generation with one matrix product per generation,
-and the genuinely new pivots are Jordan-normalized among themselves and
-frozen as the next generation.
+A DenseMatrix is a single contiguous column-major int16 buffer (entries
+of any accepted prime fit 16 bits).  Rank is computed by a blocked
+elimination that accumulates a column basis in generations: each
+incoming block of columns is cleared against every earlier generation
+with one matrix product per generation, and the genuinely new pivots are
+Jordan-normalized among themselves and frozen as the next generation.
 
 The basis keeps a row permutation, as a PLUQ factorization does (Dumas,
 Giorgi & Pernet, ACM TOMS 2008), so that the rows without a pivot form a
@@ -31,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .gfpoly import IndexOutOfRange, DimensionMismatch, MAX_PRIME, _is_prime
+from .gfpoly import DimensionMismatch, MAX_PRIME, _is_prime
 
 DEFAULT_BLOCK = 256
 
@@ -82,17 +81,6 @@ def from_columns(columns: Iterable[np.ndarray], modulus: int, rows: int | None =
             raise DimensionMismatch(f"column {j} has shape {c.shape}, want ({nrows},)")
         data[:, j] = _as_int16(c, modulus)
     return DenseMatrix(nrows, len(cols), data, modulus)
-
-
-def row_select(m: DenseMatrix, keep) -> DenseMatrix:
-    """Submatrix on the given sorted 0-based row indices, column order kept."""
-    idx = np.asarray(sorted(keep), dtype=np.int64)
-    if idx.size and (idx[0] < 0 or idx[-1] >= m.rows):
-        raise IndexOutOfRange(f"row indices outside 0..{m.rows - 1}")
-    if idx.size != np.unique(idx).size:
-        raise IndexOutOfRange("duplicate row indices")
-    data = np.asfortranarray(m.data[idx, :])
-    return DenseMatrix(int(idx.size), m.cols, data, m.modulus)
 
 
 _LEAF_WIDTH = 48  # below this, column-at-a-time elimination beats matmuls
@@ -271,9 +259,9 @@ def rank_from_column_blocks(
 ) -> int:
     """Rank over Z_P of the matrix whose columns arrive in blocks.
 
-    Blocks are (n_rows x b) arrays with entries already in 0..P-1.  The
-    matrix is never materialized, so this doubles as the streaming
-    elimination mode; peak memory is the basis on its free rows, at most
+    Blocks are (n_rows x b) arrays with entries already in 0..P-1.  Only
+    the block in hand is held, never the whole matrix, so peak memory is
+    that block plus the basis on its free rows, at most
     8 * (n_rows*r - r^2/2) bytes at rank r.  Stops consuming blocks once
     the rank hits n_rows.
     """
@@ -313,26 +301,3 @@ def rank_mod_p(m: DenseMatrix, block: int = DEFAULT_BLOCK, progress: ProgressHoo
         _column_blocks(data, block), data.shape[0], m.modulus,
         total_cols=data.shape[1], progress=progress,
     )
-
-
-def dump_text(m: DenseMatrix) -> str:
-    """Debug dump: 'rows cols modulus' header, then one line per row."""
-    lines = [f"{m.rows} {m.cols} {m.modulus}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(int(v)) for v in m.data[i, :]))
-    return "\n".join(lines) + "\n"
-
-
-def load_text(text: str) -> DenseMatrix:
-    """Inverse of dump_text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows, cols, modulus = (int(v) for v in lines[0].split())
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} data lines, got {len(lines) - 1}")
-    data = np.zeros((rows, cols), dtype=np.int16, order="F")
-    for i, ln in enumerate(lines[1:]):
-        vals = [int(v) for v in ln.split()]
-        if len(vals) != cols:
-            raise ValueError(f"row {i} has {len(vals)} entries, want {cols}")
-        data[i, :] = vals
-    return DenseMatrix(rows, cols, data, modulus)

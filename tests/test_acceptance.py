@@ -61,7 +61,7 @@ def test_criterion_1_paper_certificate_reproduction(tmp_path, capsys, monkeypatc
 def test_criterion_2_desk_scale_sweep():
     """Every base case for quaternary t=2..33 and cubics t=1..33, both
     branches, verifies TRUE within the 15 minute budget; the full-depth
-    t=82 statements pass the streaming planner without overflow."""
+    t=82 statements plan without overflow."""
     start = time.perf_counter()
     failures = []
     count = 0
@@ -83,7 +83,7 @@ def test_criterion_2_desk_scale_sweep():
         assert plan["rows"] == 98770 and plan["cols"] > 0 and plan["expected"] == 98770
         plan = bo.plan_statement(CUB, 82, branch)
         assert plan["rows"] == 98770 - 79087 and plan["expected"] >= 0
-    ok(2, f"{count} statements TRUE in {elapsed:.0f}s; t=82 plans accepted for streaming")
+    ok(2, f"{count} statements TRUE in {elapsed:.0f}s; t=82 plans consistent")
 
 
 def test_criterion_3_schedule_arithmetic(capsys):

@@ -7,7 +7,7 @@ import pytest
 import chowdefect.bolattice as bo
 from chowdefect.finite_calculus import Quasipolynomial, binomial
 from chowdefect.gfpoly import PrimeField
-from chowdefect.gflinalg import rank_mod_p
+from chowdefect.gflinalg import from_columns, rank_mod_p
 from chowdefect.sampling import FormSampler
 from chowdefect.chow import SecantProblem, terracini_rank
 
@@ -16,12 +16,20 @@ QUAT = bo.quaternary_config()
 CUB = bo.cubics_config()
 
 
+def build(cfg, t, branch, seed):
+    """A statement's spec and its column blocks stacked into one matrix."""
+    plan = bo.point_plan(cfg, t, branch)
+    spec = bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(seed, F))
+    data = np.hstack([np.zeros((spec.rows, 0), dtype=np.int64), *bo.column_blocks(spec, F)])
+    return spec, from_columns(list(data.T), F.modulus, rows=spec.rows)
+
+
 def test_config_invariants():
     for cfg in (QUAT, CUB):
         assert cfg.t0 == cfg.ell * cfg.k0 + 1 == 82
         assert cfg.s1.leading_coefficient == Fraction(1, 18)
     with pytest.raises(ValueError):
-        bo.LatticeConfig("quaternary", 0, 27, 3, 81, QUAT.s1, QUAT.s2)
+        bo.LatticeConfig("quaternary", 27, 3, 81, QUAT.s1, QUAT.s2)
 
 
 def test_k_of_t():
@@ -77,7 +85,7 @@ def test_negative_count_detected():
     shifted = Quasipolynomial(
         27, [[c0 - 20, c1, c2] for c0, c1, c2 in QUAT.s1.coeffs]
     )
-    cfg = bo.LatticeConfig("quaternary", 0, 27, 3, 82, shifted, QUAT.s2)
+    cfg = bo.LatticeConfig("quaternary", 27, 3, 82, shifted, QUAT.s2)
     with pytest.raises(bo.NegativeCount):
         bo.point_plan(cfg, 2, "s1")
 
@@ -100,11 +108,11 @@ def test_schedule_headline_numbers():
 
 
 def test_degree_build_shapes():
-    m, expected, spec = bo.build_degree_induction(QUAT, 5, "s1", FormSampler(1452337571, F), F)
-    assert m.shape == (56, 60) and expected == 48
+    _, m = build(QUAT, 5, "s1", 1452337571)
+    assert m.shape == (56, 60) and bo.plan_statement(QUAT, 5, "s1")["expected"] == 48
     assert rank_mod_p(m) == 48
-    m2, expected2, _ = bo.build_degree_induction(QUAT, 2, "s1", FormSampler(7, F), F)
-    assert m2.shape == (10, 8) and expected2 == 7
+    _, m2 = build(QUAT, 2, "s1", 7)  # tall: rank_mod_p eliminates the transpose
+    assert m2.shape == (10, 8) and bo.plan_statement(QUAT, 2, "s1")["expected"] == 7
     assert rank_mod_p(m2) == 7
 
 
@@ -116,9 +124,9 @@ def test_degree_plan_t32():
 
 
 def test_dimension_build_shapes():
-    m, keep, expected, spec = bo.build_dimension_induction(CUB, 5, "s1", FormSampler(3, F), F)
-    assert m.shape == (56, 54) and expected == 48
-    assert len(keep) == 56
+    spec, m = build(CUB, 5, "s1", 3)
+    assert m.shape == (56, 54) and bo.plan_statement(CUB, 5, "s1")["expected"] == 48
+    assert spec.row_keep is None and spec.rows == spec.rows_full == 56
     assert rank_mod_p(m) == 48
 
 
@@ -132,20 +140,21 @@ def test_dimension_plan_t28():
 def test_column_count_formulas():
     for t in (3, 9, 20):
         for branch in ("s1", "s2"):
-            pq = bo.plan_statement(QUAT, t, branch)
-            mq, _, _ = bo.build_degree_induction(QUAT, t, branch, FormSampler(2, F), F)
-            assert mq.cols == pq["cols"]
-            pc = bo.plan_statement(CUB, t, branch)
-            mc, _, _, _ = bo.build_dimension_induction(CUB, t, branch, FormSampler(2, F), F)
-            assert mc.cols == pc["cols"]
+            for cfg in (QUAT, CUB):
+                plan = bo.plan_statement(cfg, t, branch)
+                spec, m = build(cfg, t, branch, 2)
+                assert m.cols == spec.cols == plan["cols"]
+                assert m.rows == plan["rows"]
 
 
 def test_lower_order_build():
-    # the builders accept orders below K(t); i=0 at t=28 needs no subspaces
+    # prepare_build accepts orders below K(t); i=0 at t=28 needs no subspaces
     plan = bo.point_plan(CUB, 28, "s1", i=0)
     assert plan.order == 0 and plan.eta == CUB.s1(28)
-    m, keep, expected, _ = bo.build_dimension_induction(CUB, 28, "s1", FormSampler(4, F), F, i=0)
-    assert m.rows == binomial(31, 3)
+    spec = bo.prepare_build(CUB, 28, 0, plan.eta, plan.mu, FormSampler(4, F))
+    assert spec.rows == binomial(31, 3) and spec.row_keep is None
+    assert sum(b.shape[1] for b in bo.column_blocks(spec, F)) == spec.cols
+    expected = bo.expected_dim(CUB, 0, 28, "s1") - bo.eliminated_row_count(CUB, 28, 0)
     assert expected == min(85 * 52, binomial(31, 3))
 
 
@@ -170,11 +179,11 @@ def test_verify_zero_points():
 def test_verify_retry_policy(monkeypatch):
     calls = []
 
-    def fake_rank(matrix, block=256, progress=None):
+    def fake_rank(blocks, n_rows, modulus, total_cols=None, progress=None):
         calls.append(1)
         return 0  # never the expected value
 
-    monkeypatch.setattr(bo, "rank_mod_p", fake_rank)
+    monkeypatch.setattr(bo, "rank_from_column_blocks", fake_rank)
     out = bo.verify_statement(QUAT, 5, "s1", seed=1, field=F, retries=2)
     assert out.verdict == "UNVERIFIED"
     assert out.retries == 2
@@ -189,27 +198,19 @@ def test_verdict_tracks_found_vs_expected():
 
 
 def test_streaming_matches_materialized():
+    # the streamed rank of verify_statement against rank_mod_p of the stacked blocks
     for cfg, t, branch in ((QUAT, 9, "s1"), (CUB, 8, "s2")):
-        a = bo.verify_statement(cfg, t, branch, seed=77, field=F, streaming=False)
-        b = bo.verify_statement(cfg, t, branch, seed=77, field=F, streaming=True)
-        assert (a.found, a.expected, a.verdict) == (b.found, b.expected, b.verdict)
-        assert a.forms == b.forms
+        out = bo.verify_statement(cfg, t, branch, seed=77, field=F)
+        spec, m = build(cfg, t, branch, out.seed)
+        assert out.found == rank_mod_p(m)
+        assert (out.expected, out.verdict) == (bo.plan_statement(cfg, t, branch)["expected"], "TRUE")
+        assert out.forms == tuple((label, tuple(int(v) for v in c)) for label, c in spec.forms)
 
 
 def test_build_deterministic():
-    a, _, _ = bo.build_degree_induction(QUAT, 8, "s2", FormSampler(42, F), F)
-    b, _, _ = bo.build_degree_induction(QUAT, 8, "s2", FormSampler(42, F), F)
+    _, a = build(QUAT, 8, "s2", 42)
+    _, b = build(QUAT, 8, "s2", 42)
     assert np.array_equal(a.data, b.data)
-
-
-def test_memory_cap_enforced():
-    from chowdefect.gfpoly import BudgetExceeded
-
-    with pytest.raises(BudgetExceeded):
-        bo.verify_statement(QUAT, 30, "s1", seed=1, field=F, mem_cap_bytes=10**6)
-    # streaming bypasses the materialization estimate
-    out = bo.verify_statement(QUAT, 4, "s1", seed=1, field=F, mem_cap_bytes=10**6, streaming=True)
-    assert out.verdict == "TRUE"
 
 
 def test_induction_arithmetic_check_clean():
@@ -222,7 +223,7 @@ def test_induction_arithmetic_check_catches_mutation():
     mutated[13][0] += Fraction(1, 27)  # a(13): -13 -> -12
     try:
         bad_s1 = Quasipolynomial(27, mutated)
-        cfg = bo.LatticeConfig("quaternary", 0, 27, 3, 82, bad_s1, QUAT.s2)
+        cfg = bo.LatticeConfig("quaternary", 27, 3, 82, bad_s1, QUAT.s2)
         violations = bo.induction_arithmetic_check(cfg, range(28, 120))
         violations += bo.proof_function_checks(cfg, t_max=120)
     except Exception:
@@ -249,8 +250,8 @@ def test_oracle_agreement_small_t():
 
 
 def test_dimension_vs_degree_same_expected_at_t5():
-    _, e_deg, _ = bo.build_degree_induction(QUAT, 5, "s1", FormSampler(1, F), F)
-    _, _, e_dim, _ = bo.build_dimension_induction(CUB, 5, "s1", FormSampler(1, F), F)
+    e_deg = bo.plan_statement(QUAT, 5, "s1")["expected"]
+    e_dim = bo.plan_statement(CUB, 5, "s1")["expected"]
     assert e_deg == e_dim == 48
 
 
@@ -274,7 +275,6 @@ def test_generated_subspace_lattice_dimension():
             cols.append(col)
         return cols
 
-    from chowdefect.gflinalg import from_columns
     two = subspace_cols(0) + subspace_cols(1)
     assert rank_mod_p(from_columns(two, 8191)) == 2 * 20 - 4
     three = two + subspace_cols(2)
@@ -347,17 +347,16 @@ def test_basis_storage_within_plan(monkeypatch):
             bases.append(self)
 
     monkeypatch.setattr(gflinalg, "_GenerationBasis", Recording)
-    # wide and full rank, then tall (rank_mod_p eliminates the transpose)
+    # wide and full rank, then tall (more rows than columns)
     for cfg, t, branch in ((QUAT, 16, "s2"), (CUB, 8, "s1")):
         bound = bo.plan_statement(cfg, t, branch)["basis_bytes"]
-        for streaming in (False, True):
-            bases.clear()
-            out = bo.verify_statement(cfg, t, branch, seed=5, field=F, streaming=streaming)
-            assert out.verdict == "TRUE"
-            outer = bases[0]  # inner recursion bases come later and are transient
-            assert outer.rank == out.found
-            stored = sum(T.nbytes for _, _, T in outer.generations)
-            assert 0 < stored <= bound
+        bases.clear()
+        out = bo.verify_statement(cfg, t, branch, seed=5, field=F)
+        assert out.verdict == "TRUE"
+        outer = bases[0]  # inner recursion bases come later and are transient
+        assert outer.rank == out.found
+        stored = sum(T.nbytes for _, _, T in outer.generations)
+        assert 0 < stored <= bound
 
 
 def test_streaming_charges_column_pulls_to_construction(monkeypatch):
@@ -369,7 +368,7 @@ def test_streaming_charges_column_pulls_to_construction(monkeypatch):
             yield b
 
     monkeypatch.setattr(bo, "column_blocks", slow_blocks)
-    out = bo.verify_statement(QUAT, 6, "s2", seed=3, field=F, streaming=True)
+    out = bo.verify_statement(QUAT, 6, "s2", seed=3, field=F)
     assert out.verdict == "TRUE"
     assert out.construct_seconds >= 0.2
     assert out.rank_seconds < 0.2

@@ -47,7 +47,8 @@ def test_verify_usage_errors(capsys):
 
 def test_verify_unverified_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(bo, "rank_mod_p", lambda m, block=256, progress=None: 0)
+    monkeypatch.setattr(bo, "rank_from_column_blocks",
+                        lambda blocks, n_rows, modulus, total_cols=None, progress=None: 0)
     code, out, _ = run(
         capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1",
         "--seed", "4", "--retries", "1",
@@ -63,13 +64,29 @@ def test_verify_memory_cap(tmp_path, capsys, monkeypatch):
         "--mem-cap-gb", "0.001",
     )
     assert code == 1
-    assert "streaming" in err
+    assert "--mem-cap-gb" in err
+    assert not (tmp_path / "certificates").exists()  # refused before any statement ran
+
+
+def test_verify_memory_cap_counts_concurrent_statements(tmp_path, capsys, monkeypatch):
+    # each t=12 basis (~0.77 MiB) fits a 0.001 GiB cap, but two at once do not
+    monkeypatch.chdir(tmp_path)
+    for branch in ("s1", "s2"):
+        assert bo.plan_statement(bo.quaternary_config(), 12, branch)["basis_bytes"] < 0.001 * 2**30
+    argv = ("verify", "--family", "quaternary", "--t", "12", "--branch", "both",
+            "--seed", "1", "--mem-cap-gb", "0.001")
+    code, _, err = run(capsys, *argv, "--threads", "2")
+    assert code == 1
+    assert "t=12 s1" in err and "t=12 s2" in err and "--mem-cap-gb" in err
+    assert not (tmp_path / "certificates").exists()
+    code, _, _ = run(capsys, *argv, "--threads", "1")
+    assert code == 0
 
 
 def test_plan_only_t82_streaming(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "quaternary", "--t", "82", "--branch", "both",
-        "--streaming", "--plan-only", "--seed", "1",
+        "--plan-only", "--seed", "1",
     )
     assert code == 0
     rows = [ln for ln in out.splitlines() if ln.startswith("quaternary\t82")]
@@ -159,7 +176,7 @@ def test_mem_cap_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", "0.001")
     code, _, err = run(capsys, "verify", "--family", "quaternary", "--t", "30", "--branch", "s1")
-    assert code == 1 and "streaming" in err
+    assert code == 1 and "--mem-cap-gb" in err
     monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", "8")
     code, _, _ = run(capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1", "--seed", "1")
     assert code == 0

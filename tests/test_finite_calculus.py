@@ -7,7 +7,6 @@ from chowdefect.finite_calculus import (
     A_TABLE,
     NonIntegralValue,
     Quasipolynomial,
-    StepDifference,
     backward_diff,
     binomial,
     make_proof_functions,
@@ -121,12 +120,3 @@ def test_linearity_and_composition():
         be = rng.randint(0, 2)
         inner = lambda u: backward_diff(f, be, u, 27)
         assert backward_diff(inner, al, t, 27) == backward_diff(f, al + be, t, 27)
-
-
-def test_step_difference_wrapper():
-    op = StepDifference(step=27, order=2)
-    assert op(lambda t: qp_eval(S1, t), 90) == 81
-    with pytest.raises(ValueError):
-        StepDifference(step=0, order=1)
-    with pytest.raises(ValueError):
-        StepDifference(step=1, order=-1)

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from chowdefect.gfpoly import DimensionMismatch, IndexOutOfRange
-from chowdefect.gflinalg import (
-    DenseMatrix,
-    dump_text,
-    from_columns,
-    load_text,
-    rank_from_column_blocks,
-    rank_mod_p,
-    row_select,
-)
+from chowdefect.gfpoly import DimensionMismatch
+from chowdefect.gflinalg import DenseMatrix, from_columns, rank_from_column_blocks, rank_mod_p
 
 P = 8191
 
@@ -59,20 +51,6 @@ def test_from_columns_validation():
     with pytest.raises(DimensionMismatch):
         from_columns([np.zeros(3), np.zeros(4)], P)
     assert rank_mod_p(from_columns([np.array([1, 2, 3])] * 3, P)) == 1
-
-
-def test_row_select():
-    rng = np.random.default_rng(2)
-    A = rng.integers(0, P, (20, 14))
-    m = matrix_of(A)
-    assert rank_mod_p(row_select(m, range(20))) == rank_mod_p(m)
-    assert rank_mod_p(row_select(m, [])) == 0
-    sub = row_select(m, [3, 5, 7])
-    assert np.array_equal(sub.data, A[[3, 5, 7], :].astype(np.int16))
-    with pytest.raises(IndexOutOfRange):
-        row_select(m, [20])
-    with pytest.raises(IndexOutOfRange):
-        row_select(m, [1, 1])
 
 
 def test_rank_invariances():
@@ -133,17 +111,6 @@ def test_small_prime_field():
     rng = np.random.default_rng(9)
     A = rng.integers(0, 2, (40, 40))
     assert rank_mod_p(from_columns(list(A.T), 2, rows=40)) == reference_rank(A, p=2)
-
-
-def test_dump_load_roundtrip():
-    rng = np.random.default_rng(10)
-    A = rng.integers(0, P, (6, 4))
-    m = matrix_of(A)
-    text = dump_text(m)
-    assert text.splitlines()[0] == f"6 4 {P}"
-    again = load_text(text)
-    assert np.array_equal(again.data, m.data)
-    assert (again.rows, again.cols, again.modulus) == (6, 4, P)
 
 
 def test_dense_matrix_validation():
