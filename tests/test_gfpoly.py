@@ -173,3 +173,106 @@ def test_insertion_map_injective_per_variable():
             col = imap[:, j]
             assert len(np.unique(col)) == len(col)
             assert col.min() >= 0 and col.max() < monomial_count(n, k + 1)
+
+
+# ---------------------------------------------------------------------------
+# adversarial equality of the product kernels (Hypothesis)
+
+from hypothesis import given, settings, strategies as st
+
+from chowdefect.bolattice import _products_omitting_each
+from chowdefect.chow import ChowPoint, tangent_columns
+
+
+def products_omitting_each(forms, base=None):
+    return _products_omitting_each(forms, forms[0].field, base=base)
+
+
+# p = 2 and p = 3 make accidental cancellations common; 8191 is the workhorse
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def linear_forms(draw, n, field):
+    """Dense, sparse, or a single variable: sparse forms leave most of a
+    product's monomials at zero."""
+    kind = draw(st.sampled_from(("dense", "sparse", "variable")))
+    if kind == "variable":
+        return LinearForm.variable(draw(st.integers(0, n)), n, field)
+    coeffs = draw(st.lists(st.integers(0, field.modulus - 1), min_size=n + 1, max_size=n + 1))
+    if kind == "sparse":
+        keep = draw(st.integers(0, n))
+        coeffs = [c if j == keep or draw(st.booleans()) else 0 for j, c in enumerate(coeffs)]
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, n))] = 1
+    return LinearForm(n, np.array(coeffs), field)
+
+
+@st.composite
+def form_lists(draw, max_terms=None):
+    """(field, forms): n in 1..6 and d in 1..14, or fewer terms where
+    (n+1)^d would exceed max_terms."""
+    field = PrimeField(draw(st.sampled_from((2, 3, 8191))))
+    n = draw(st.integers(1, 6))
+    d_max = 14
+    if max_terms is not None:
+        while (n + 1) ** d_max > max_terms:
+            d_max -= 1
+    d = draw(st.integers(1, d_max))
+    return field, [draw(linear_forms(n, field)) for _ in range(d)]
+
+
+@PROPERTY
+@given(form_lists(), st.integers(0, 3), st.data())
+def test_property_omit_one_matches_products(case, extra, data):
+    field, forms = case
+    n = forms[0].n
+    base_forms = [data.draw(linear_forms(n, field)) for _ in range(extra)]
+    base = product_of_linear_forms(base_forms) if base_forms else None
+    got = list(products_omitting_each(forms, base))
+    assert len(got) == len(forms)
+    for b, partial in enumerate(got):
+        rest = forms[:b] + forms[b + 1:] + base_forms
+        want = product_of_linear_forms(rest) if rest else HomPoly.one(n, field)
+        assert (partial.n, partial.d) == (want.n, want.d)
+        assert np.array_equal(partial.coeffs, want.coeffs)
+
+
+@PROPERTY
+@given(form_lists(max_terms=200_000))
+def test_property_mul_linear_matches_oracle(case):
+    field, forms = case
+    *head, last = forms
+    acc = HomPoly.from_linear(last)
+    for ell in reversed(head):
+        acc = mul_linear(acc, ell)
+    assert np.array_equal(acc.coeffs, naive_product_oracle(forms).coeffs)
+
+
+def prefix_fold_tangent_columns(point, field):
+    """x_v * prod_{g != b} l_g for b, then v, with shared prefixes and the
+    suffix folded per b; each column multiplies by x_v instead of scattering."""
+    n, d = point.n, point.d
+    prefixes = [HomPoly.one(n, field)]
+    for f in point.factors[:-1]:
+        prefixes.append(mul_linear(prefixes[-1], f))
+    cols = []
+    for b in range(d):
+        partial = prefixes[b]
+        for g in range(b + 1, d):
+            partial = mul_linear(partial, point.factors[g])
+        for v in range(n + 1):
+            cols.append(mul_linear(partial, LinearForm.variable(v, n, field)).coeffs)
+    return cols
+
+
+@PROPERTY
+@given(form_lists())
+def test_property_tangent_columns_match_prefix_fold(case):
+    field, forms = case
+    point = ChowPoint(tuple(forms))
+    got = tangent_columns(point, field)
+    want = prefix_fold_tangent_columns(point, field)
+    assert len(got) == len(want) == point.d * (point.n + 1)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
