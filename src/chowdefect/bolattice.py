@@ -45,15 +45,18 @@ from .finite_calculus import (
     binomial,
     make_proof_functions,
 )
-from .gfpoly import (
+from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
     HomPoly,
     LinearForm,
     PrimeField,
+    division_map,
     lex_positions,
     monomial_count,
     monomial_exponents,
     mul_linear,
-    variable_insertion_map,
+    padded,
+    product_of_linear_forms,
+    products_omitting_each,
 )
 from .gflinalg import DEFAULT_BLOCK, ProgressHook, rank_from_column_blocks
 from .sampling import FormSampler, derive_retry_seed
@@ -199,42 +202,10 @@ def point_plan(config: LatticeConfig, t: int, branch: str, i: int | None = None)
 # column generation
 
 
-def _batched(columns: Iterator[np.ndarray], rows: int, block: int) -> Iterator[np.ndarray]:
-    buf = np.empty((rows, block), dtype=np.int64)
-    k = 0
-    for col in columns:
-        buf[:, k] = col
-        k += 1
-        if k == block:
-            yield buf[:, :k].copy()  # consumers may hold blocks; never alias the buffer
-            k = 0
-    if k:
-        yield buf[:, :k].copy()
-
-
-def _variable_columns(partial: HomPoly, imap: np.ndarray, length: int, variables) -> Iterator[np.ndarray]:
-    """Columns of x_v * partial for each v, scattered to full degree."""
-    for v in variables:
-        col = np.zeros(length, dtype=np.int64)
-        col[imap[:, v]] = partial.coeffs
-        yield col
-
-
-def _products_omitting_each(forms: list[LinearForm], field: PrimeField, base: HomPoly | None = None):
-    """For each position b, the product of all forms except the b-th.
-
-    Prefixes are shared: the b-th product reuses base * forms[:b] and
-    folds the suffix, so the whole family costs half of recomputing each
-    product from scratch.
-    """
-    prefixes = [base if base is not None else HomPoly.one(forms[0].n, field)]
-    for f in forms[:-1]:
-        prefixes.append(mul_linear(prefixes[-1], f))
-    for b in range(len(forms)):
-        partial = prefixes[b]
-        for g in range(b + 1, len(forms)):
-            partial = mul_linear(partial, forms[g])
-        yield partial
+# Column generators yield (src, index) groups: the group's columns are
+# take(src, index[c]) for each row c of index, so column_blocks gathers
+# them straight into the block buffer.  For tangent columns src is a
+# padded partial product and index holds division-map rows, one per x_v.
 
 
 @dataclass
@@ -302,49 +273,40 @@ def _prepare_degree(config, t: int, i: int, eta: int, mu: int, source) -> BuildS
     return BuildSpec(QUATERNARY, t, i, ell, eta, mu, n, rows, rows, cols, None, forms, keyed)
 
 
-def _degree_columns(spec: BuildSpec, field: PrimeField) -> Iterator[np.ndarray]:
+def _degree_columns(spec: BuildSpec, field: PrimeField):
     n, t, ell = spec.n, spec.t, spec.ell
     keyed = spec.keyed
 
     def lf(role, pi=0, pj=0, gamma=0):
         return LinearForm(n, keyed[(role, pi, pj, gamma)], field)
 
-    big_products = []
-    for j in range(spec.i):
-        g_forms = [lf("g", pj=j, gamma=g) for g in range(ell)]
-        acc = HomPoly.from_linear(g_forms[0])
-        for f in g_forms[1:]:
-            acc = mul_linear(acc, f)
-        big_products.append((g_forms, acc))
+    g_forms = [[lf("g", pj=j, gamma=g) for g in range(ell)] for j in range(spec.i)]
 
     # R1: the subspace generator blocks, one column per degree t-ell monomial
     if spec.i > 0:
         shift_exps = monomial_exponents(n, t - ell)
         gj_exps = monomial_exponents(n, ell).astype(np.int64)
-        for j in range(spec.i):
-            gj = big_products[j][1]
+        for forms in g_forms:
+            gj = product_of_linear_forms(forms).coeffs
+            src = padded(gj)
             for row in shift_exps:
-                col = np.zeros(spec.rows_full, dtype=np.int64)
-                col[lex_positions(gj_exps + row, n, t) - 1] = gj.coeffs
-                yield col
+                index = np.full((1, spec.rows_full), gj.size, dtype=np.intp)
+                index[0, lex_positions(gj_exps + row, n, t) - 1] = np.arange(gj.size)
+                yield src, index
 
     # R2: tangent blocks at fully generic points
-    imap = variable_insertion_map(n, t - 1)
+    G = division_map(n, t - 1)
     for pt in range(spec.eta):
         pt_forms = [lf("l", pi=pt, gamma=g) for g in range(t)]
-        for partial in _products_omitting_each(pt_forms, field):
-            yield from _variable_columns(partial, imap, spec.rows_full, range(n + 1))
+        for partial in products_omitting_each(pt_forms):
+            yield padded(partial.coeffs), G
 
     # R3: tangent blocks (mod the subspace) at points inside each subspace
     for j in range(spec.i):
-        g_forms, _ = big_products[j]
         for pt in range(spec.mu):
-            f_forms = [lf("f", pi=pt, pj=j, gamma=g) for g in range(t - ell)]
-            base = HomPoly.from_linear(f_forms[0])
-            for f in f_forms[1:]:
-                base = mul_linear(base, f)
-            for partial in _products_omitting_each(g_forms, field, base=base):
-                yield from _variable_columns(partial, imap, spec.rows_full, range(n + 1))
+            base = product_of_linear_forms([lf("f", pi=pt, pj=j, gamma=g) for g in range(t - ell)])
+            for partial in products_omitting_each(g_forms[j], base=base):
+                yield padded(partial.coeffs), G
 
 
 def _prepare_dimension(config, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
@@ -391,29 +353,26 @@ def _prepare_dimension(config, t: int, i: int, eta: int, mu: int, source) -> Bui
     return BuildSpec(CUBICS, t, i, ell, eta, mu, n, rows_full, rows, cols, keep, forms, keyed)
 
 
-def _dimension_columns(spec: BuildSpec, field: PrimeField) -> Iterator[np.ndarray]:
+def _dimension_columns(spec: BuildSpec, field: PrimeField):
     n, ell = spec.n, spec.ell
     keyed = spec.keyed
-    imap = variable_insertion_map(n, 2)
+    # gather only the rows in Y, so eliminated rows are never written
+    G = division_map(n, 2)
+    if spec.row_keep is not None:
+        G = G[:, spec.row_keep]
 
-    def pair_blocks(ka, la, ma, variables):
-        for left, right in ((la, ma), (ka, ma), (ka, la)):
-            partial = mul_linear(HomPoly.from_linear(left), right)
-            yield from _variable_columns(partial, imap, spec.rows_full, variables)
+    def point_groups(role_suffix, pt, pj, index):
+        forms = [LinearForm(n, keyed[(role + role_suffix, pt, pj, 0)], field) for role in "klm"]
+        for partial in products_omitting_each(forms):
+            yield padded(partial.coeffs), index
 
     for pt in range(spec.eta):
-        ka = LinearForm(n, keyed[("k", pt, 0, 0)], field)
-        la = LinearForm(n, keyed[("l", pt, 0, 0)], field)
-        ma = LinearForm(n, keyed[("m", pt, 0, 0)], field)
-        yield from pair_blocks(ka, la, ma, range(n + 1))
+        yield from point_groups("", pt, 0, G)
 
     for j in range(spec.i):
-        block_vars = range(ell * j, ell * (j + 1))
+        block_rows = G[ell * j : ell * (j + 1)]
         for pt in range(spec.mu):
-            ka = LinearForm(n, keyed[("kj", pt, j, 0)], field)
-            la = LinearForm(n, keyed[("lj", pt, j, 0)], field)
-            ma = LinearForm(n, keyed[("mj", pt, j, 0)], field)
-            yield from pair_blocks(ka, la, ma, block_vars)
+            yield from point_groups("j", pt, j, block_rows)
 
 
 def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
@@ -427,15 +386,34 @@ def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, sour
 def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
     """The statement matrix as a stream of (spec.rows x <= block) column blocks.
 
-    Columns are generated as the blocks are pulled, and for dimension
-    induction every block keeps only the rows in Y, so the matrix exists
-    only one block at a time.
+    Columns are generated as the blocks are pulled and written straight
+    into an F-order block buffer; for dimension induction only the rows
+    in Y are written.  Every block gets a fresh buffer, so blocks already
+    handed out never change.  A drained stream whose column count is not
+    spec.cols raises AssertionError.
     """
-    gen = _degree_columns(spec, field) if spec.family == QUATERNARY else _dimension_columns(spec, field)
-    blocks = _batched(gen, spec.rows_full, block)
-    if spec.row_keep is not None:
-        return (b[spec.row_keep, :] for b in blocks)
-    return blocks
+    groups = _degree_columns(spec, field) if spec.family == QUATERNARY else _dimension_columns(spec, field)
+    buf = np.empty((spec.rows, block), dtype=np.int64, order="F")
+    k = emitted = 0
+    for src, index in groups:
+        at = 0
+        while at < len(index):
+            w = min(len(index) - at, block - k)
+            # the transpose of an F-order column slice is C-contiguous, so take
+            # writes it in place; every index is in range, so clip never clips
+            np.take(src, index[at : at + w], out=buf[:, k : k + w].T, mode="clip")
+            at += w
+            k += w
+            if k == block:
+                yield buf
+                emitted += k
+                buf = np.empty((spec.rows, block), dtype=np.int64, order="F")
+                k = 0
+    if k:
+        yield buf[:, :k]
+        emitted += k
+    if emitted != spec.cols:
+        raise AssertionError(f"generated {emitted} columns, the plan has {spec.cols}")
 
 
 # ---------------------------------------------------------------------------

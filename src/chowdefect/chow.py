@@ -23,14 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_calculus import binomial
-from .gfpoly import (
+from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
     BudgetExceeded,
-    HomPoly,
     LinearForm,
     PrimeField,
+    division_map,
     monomial_count,
     mul_linear,
-    variable_insertion_map,
+    padded,
+    products_omitting_each,
 )
 from .gflinalg import from_columns, rank_mod_p
 from .sampling import FormSampler
@@ -89,21 +90,10 @@ def tangent_columns(point: ChowPoint, field: PrimeField) -> list[np.ndarray]:
     x_v * prod_{g != b} l_g; there are d(n+1) of them and their span has
     dimension dn+1 at a generic point.
     """
-    n, d = point.n, point.d
-    length = monomial_count(n, d)
-    imap = variable_insertion_map(n, d - 1)
+    G = division_map(point.n, point.d - 1)
     cols = []
-    prefixes = [HomPoly.one(n, field)]
-    for f in point.factors[:-1]:
-        prefixes.append(mul_linear(prefixes[-1], f))
-    for b in range(d):
-        partial = prefixes[b]
-        for g in range(b + 1, d):
-            partial = mul_linear(partial, point.factors[g])
-        for v in range(n + 1):
-            col = np.zeros(length, dtype=np.int64)
-            col[imap[:, v]] = partial.coeffs
-            cols.append(col)
+    for partial in products_omitting_each(list(point.factors)):
+        cols.extend(np.take(padded(partial.coeffs), G))
     return cols
 
 

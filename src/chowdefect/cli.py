@@ -111,24 +111,25 @@ def cmd_verify(args) -> int:
 
     def run(p):
         t, b = p["t"], p["branch"]
-        return bolattice.verify_statement(
+        outcome = bolattice.verify_statement(
             config, t, b, seed, field=field, retries=args.retries,
             progress=_progress_printer(f"t={t} {b}") if p["cols"] > 20000 else None,
         )
+        # on disk as soon as the statement completes, so a crash later in the sweep keeps it
+        text = certificate.emit_text(outcome)
+        _write_atomically(outdir / f"{outcome.family}_t{outcome.t:03d}_{outcome.branch}.cert", text)
+        return outcome, text
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run, plans))
+            results = list(pool.map(run, plans))
     else:
-        outcomes = [run(p) for p in plans]
+        results = [run(p) for p in plans]
+    if len(results) == 1:
+        sys.stdout.write(results[0][1])
+    outcomes = [outcome for outcome, _ in results]
 
     all_true = True
-    for outcome in outcomes:
-        text = certificate.emit_text(outcome)
-        path = outdir / f"{outcome.family}_t{outcome.t:03d}_{outcome.branch}.cert"
-        path.write_text(text, encoding="utf-8", newline="\n")
-        if len(outcomes) == 1:
-            sys.stdout.write(text)
     print(SUMMARY_HEADER)
     for outcome in outcomes:
         print(
@@ -139,6 +140,13 @@ def cmd_verify(args) -> int:
         )
         all_true &= outcome.verdict == "TRUE"
     return 0 if all_true else 2
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write through a temp file renamed into place: the file is either whole or absent."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="\n")
+    os.replace(tmp, path)
 
 
 def _schedule_line(p) -> str:

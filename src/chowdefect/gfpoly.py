@@ -11,10 +11,12 @@ listed lexicographically by the nondecreasing index tuple
 
 Products of generic linear forms are fully dense, so everything here is
 dense numpy int64 with eager reduction mod P at operation boundaries.
-The only product ever needed is (degree-k form) * (linear form), done by
-scattering f[m] * l[j] into the position of the monomial m with x_j
-inserted; per variable j that insertion is injective, so the scatter is
-a plain fancy-indexed add with no collisions.
+The only product ever needed is (degree-k form) * (linear form), done as
+a gather: the division map lists, for every degree-(k+1) monomial m and
+variable x_j, the position of m / x_j in degree k (or a zero slot when
+x_j does not divide m), so f * l is one take of f through the map and
+an (n+1)-term dot product per output coefficient.  Families of products
+that each omit one factor come from a product tree built on that kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -140,15 +143,15 @@ def monomial_exponents(n: int, d: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def variable_insertion_map(n: int, k: int) -> np.ndarray:
     """0-based positions of x_j * m for every degree-k monomial m.
 
     Entry [m, j] is the position (in degree k+1) of the monomial at
     position m of degree k with variable j multiplied in.  Each column is
-    injective, which is what makes the multiplication kernel a collision
-    free scatter.  Inserting x_j bumps the suffix sums S_1..S_j by one,
-    so all n+1 columns come from one pass over the shared suffix sums.
+    injective, so it inverts into a row of the division map, which is
+    what the kernels use and what is cached.  Inserting x_j bumps the
+    suffix sums S_1..S_j by one, so all n+1 columns come from one pass
+    over the shared suffix sums.
     """
     exps = monomial_exponents(n, k)
     count = exps.shape[0]
@@ -170,6 +173,33 @@ def variable_insertion_map(n: int, k: int) -> np.ndarray:
         acc = acc - table[arg, n - j] + table[arg + 1, n - j]
         out[:, j + 1] = acc
     out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def division_map(n: int, k: int) -> np.ndarray:
+    """Gather indices from degree k to degree k+1, one row per variable.
+
+    Entry [j, r] is the 0-based degree-k position of m / x_j for the
+    degree-(k+1) monomial m at position r, or C(n+k, k) -- a zero slot
+    one past the end -- when x_j does not divide m.  With f padded by one
+    zero, take(fpad, G)[j] is x_j * f, and f * l is l @ take(fpad, G).
+    """
+    imap = variable_insertion_map(n, k)
+    count = imap.shape[0]
+    out = np.full((n + 1, monomial_count(n, k + 1)), count, dtype=np.intp)
+    quotients = np.arange(count, dtype=np.intp)
+    for j in range(n + 1):
+        out[j, imap[:, j]] = quotients
+    out.setflags(write=False)
+    return out
+
+
+def padded(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients followed by the zero that division_map's zero slot reads."""
+    out = np.empty(coeffs.size + 1, dtype=np.int64)
+    out[:-1] = coeffs
+    out[-1] = 0
     return out
 
 
@@ -253,6 +283,16 @@ class HomPoly:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _reduced(cls, n: int, d: int, coeffs: np.ndarray, field: PrimeField) -> "HomPoly":
+        """Wrap int64 coefficients already reduced mod P and of the right
+        length, without the copy and reduction of the checked constructor."""
+        coeffs.setflags(write=False)
+        poly = object.__new__(cls)
+        for name, value in (("n", n), ("d", d), ("coeffs", coeffs), ("field", field)):
+            object.__setattr__(poly, name, value)
+        return poly
+
+    @classmethod
     def one(cls, n: int, field: PrimeField) -> "HomPoly":
         return cls(n, 0, np.ones(1, dtype=np.int64), field)
 
@@ -262,31 +302,52 @@ class HomPoly:
 
 
 def mul_linear(f: HomPoly, ell: LinearForm) -> HomPoly:
-    """f * ell for a degree-k form f, in O((n+1) * C(n+k, k)) scatters."""
+    """f * ell for a degree-k form f: one gather through the division map
+    and an (n+1)-term dot product per coefficient of the result."""
     if f.n != ell.n:
         raise DimensionMismatch(f"variable counts differ: {f.n + 1} vs {ell.n + 1}")
-    p = f.field.modulus
-    imap = variable_insertion_map(f.n, f.d)
-    out = np.zeros(monomial_count(f.n, f.d + 1), dtype=np.int64)
-    for j in range(f.n + 1):
-        cj = int(ell.coeffs[j])
-        if cj:
-            out[imap[:, j]] += f.coeffs * cj
-    out %= p
-    return HomPoly(f.n, f.d + 1, out, f.field)
+    # entries stay below (n+1) * P^2 < 2^63 before the reduction
+    out = ell.coeffs @ np.take(padded(f.coeffs), division_map(f.n, f.d))
+    out %= f.field.modulus
+    return HomPoly._reduced(f.n, f.d + 1, out, f.field)
+
+
+def _times(acc: HomPoly, forms: list[LinearForm]) -> HomPoly:
+    for ell in forms:
+        acc = mul_linear(acc, ell)
+    return acc
 
 
 def product_of_linear_forms(forms: list[LinearForm]) -> HomPoly:
     """Left fold l_1 * l_2 * ... * l_d via the linear multiplication kernel."""
     if not forms:
         raise EmptyProduct("need at least one linear form")
-    n = forms[0].n
-    acc = HomPoly.from_linear(forms[0])
-    for ell in forms[1:]:
-        if ell.n != n:
-            raise DimensionMismatch("mixed variable counts in product")
-        acc = mul_linear(acc, ell)
-    return acc
+    return _times(HomPoly.from_linear(forms[0]), forms[1:])
+
+
+def products_omitting_each(forms: list[LinearForm], base: HomPoly | None = None) -> Iterator[HomPoly]:
+    """base * prod_{g != b} forms[g] for b = 0, 1, ..., in that order.
+
+    A product tree: the base of the left half takes in the right half's
+    forms and the other way round, then each half recurses, so t forms
+    cost about t * log2(t) mul_linear calls instead of the t^2 / 2 of a
+    prefix fold.  Only the bases on the current path are held.  The base
+    defaults to the constant 1.
+    """
+    if not forms:
+        raise EmptyProduct("need at least one linear form")
+    if base is None:
+        base = HomPoly.one(forms[0].n, forms[0].field)
+
+    def split(acc: HomPoly, lo: int, hi: int) -> Iterator[HomPoly]:
+        if hi - lo == 1:
+            yield acc
+            return
+        mid = (lo + hi) // 2
+        yield from split(_times(acc, forms[mid:hi]), lo, mid)
+        yield from split(_times(acc, forms[lo:mid]), mid, hi)
+
+    return split(base, 0, len(forms))
 
 
 def naive_product_oracle(forms: list[LinearForm]) -> HomPoly:

@@ -18,10 +18,10 @@ from chowdefect.finite_calculus import binomial, newton_reconstruct
 from chowdefect.gfpoly import (
     LinearForm,
     PrimeField,
+    division_map,
     monomial_exponents,
     naive_product_oracle,
     product_of_linear_forms,
-    variable_insertion_map,
 )
 from chowdefect.sampling import FormSampler
 
@@ -204,7 +204,7 @@ def test_criterion_8_kernel_performance_floor():
     """82 random quaternary linear forms multiply out in under 1.5 s
     single-threaded, including cold index-map construction."""
     monomial_exponents.cache_clear()
-    variable_insertion_map.cache_clear()
+    division_map.cache_clear()
     sampler = FormSampler(88, F)
     forms = [LinearForm(3, sampler.linear_form("o", 3, i=0, gamma=g), F) for g in range(82)]
     start = time.perf_counter()

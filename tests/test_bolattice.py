@@ -372,3 +372,45 @@ def test_streaming_charges_column_pulls_to_construction(monkeypatch):
     assert out.verdict == "TRUE"
     assert out.construct_seconds >= 0.2
     assert out.rank_seconds < 0.2
+
+
+def small_specs():
+    """Full statements of both families, plus orders that exercise the subspace
+    columns (quaternary) and row elimination (cubics) at a few hundred columns."""
+    specs = []
+    for cfg, t, branch in ((QUAT, 6, "s2"), (CUB, 7, "s1")):
+        plan = bo.point_plan(cfg, t, branch)
+        specs.append(bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(5, F)))
+    specs.append(bo.prepare_build(QUAT, 28, 1, 1, 1, FormSampler(6, F)))
+    specs.append(bo.prepare_build(CUB, 28, 1, 1, 1, FormSampler(7, F)))
+    return specs
+
+
+def test_column_blocks_any_width_stack_to_one_matrix():
+    # odd widths put one group of n+1 tangent columns across a block boundary
+    for spec in small_specs():
+        want = None
+        for width in (1, 3, 4, 7, 256):
+            held = []
+            for b in bo.column_blocks(spec, F, width):
+                assert b.shape[0] == spec.rows and 1 <= b.shape[1] <= width
+                held.append((b, b.copy()))
+            # the stream has finished: no block handed out earlier was overwritten
+            for b, copy in held:
+                assert np.array_equal(b, copy)
+            stacked = np.hstack([b for b, _ in held])
+            assert stacked.shape == (spec.rows, spec.cols)
+            if want is None:
+                want = stacked
+            assert np.array_equal(stacked, want)
+
+
+def test_column_count_mismatch_is_loud():
+    import dataclasses
+
+    spec = small_specs()[0]
+    for wrong in (spec.cols - 1, spec.cols + 1):
+        bad = dataclasses.replace(spec, cols=wrong)
+        with pytest.raises(AssertionError, match="columns"):
+            for _ in bo.column_blocks(bad, F):
+                pass

@@ -1,3 +1,5 @@
+import pytest
+
 import chowdefect.bolattice as bo
 from chowdefect.cli import main
 
@@ -194,3 +196,26 @@ def test_verify_rank_contradiction_exits_1(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--family", "cubics", "--t", "5", "--branch", "s2", "--seed", "1")
     assert code == 1
     assert "cubics t=5 s2" in err and "exceeds the expected" in err
+
+
+def test_verify_writes_each_certificate_before_the_sweep_ends(tmp_path, capsys, monkeypatch):
+    # the second statement crashes; the first certificate is already whole on disk
+    from chowdefect.certificate import parse
+
+    real = bo.verify_statement
+    calls = []
+
+    def crash_on_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return real(*args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bo, "verify_statement", crash_on_second)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["verify", "--family", "quaternary", "--t", "5..6", "--branch", "s1", "--seed", "3"])
+    files = sorted(p.name for p in (tmp_path / "certificates").iterdir())
+    assert files == ["quaternary_t005_s1.cert"]
+    cert = parse((tmp_path / "certificates" / files[0]).read_text(encoding="utf-8"))
+    assert (cert.t, cert.found, cert.expected) == (5, 48, 48)

@@ -180,12 +180,8 @@ def test_insertion_map_injective_per_variable():
 
 from hypothesis import given, settings, strategies as st
 
-from chowdefect.bolattice import _products_omitting_each
+from chowdefect.gfpoly import products_omitting_each
 from chowdefect.chow import ChowPoint, tangent_columns
-
-
-def products_omitting_each(forms, base=None):
-    return _products_omitting_each(forms, forms[0].field, base=base)
 
 
 # p = 2 and p = 3 make accidental cancellations common; 8191 is the workhorse
