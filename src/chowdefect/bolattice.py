@@ -46,7 +46,6 @@ from .finite_calculus import (
     make_proof_functions,
 )
 from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
-    HomPoly,
     LinearForm,
     PrimeField,
     division_map,

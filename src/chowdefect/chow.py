@@ -114,7 +114,9 @@ def terracini_rank(problem: SecantProblem, seed: int, field: PrimeField) -> int:
     sampler = FormSampler(seed, field)
     cols: list[np.ndarray] = []
     for i in range(problem.s):
-        cols.extend(tangent_columns(sample_point(sampler, problem.d, problem.n, i), field))
+        # entries are below P < 2^15: hold them at the int16 width of the matrix
+        point_cols = tangent_columns(sample_point(sampler, problem.d, problem.n, i), field)
+        cols.extend(np.asarray(point_cols, dtype=np.int16))
     return rank_mod_p(from_columns(cols, field.modulus, rows=ambient))
 
 

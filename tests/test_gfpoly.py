@@ -178,7 +178,7 @@ def test_insertion_map_injective_per_variable():
 # ---------------------------------------------------------------------------
 # adversarial equality of the product kernels (Hypothesis)
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chowdefect.gfpoly import products_omitting_each
 from chowdefect.chow import ChowPoint, tangent_columns
@@ -205,9 +205,10 @@ def linear_forms(draw, n, field):
 
 
 @st.composite
-def form_lists(draw, max_terms=None):
-    """(field, forms): n in 1..6 and d in 1..14, or fewer terms where
-    (n+1)^d would exceed max_terms."""
+def form_lists(draw, max_terms=None, base_terms=0):
+    """(field, forms, base_forms): n in 1..6 and d in 1..14, or fewer
+    terms where (n+1)^d would exceed max_terms, plus up to base_terms
+    forms of the same n."""
     field = PrimeField(draw(st.sampled_from((2, 3, 8191))))
     n = draw(st.integers(1, 6))
     d_max = 14
@@ -215,15 +216,32 @@ def form_lists(draw, max_terms=None):
         while (n + 1) ** d_max > max_terms:
             d_max -= 1
     d = draw(st.integers(1, d_max))
-    return field, [draw(linear_forms(n, field)) for _ in range(d)]
+    forms = [draw(linear_forms(n, field)) for _ in range(d)]
+    return field, forms, [draw(linear_forms(n, field)) for _ in range(draw(st.integers(0, base_terms)))]
+
+
+def variables(field, n, *js):
+    return [LinearForm.variable(j, n, field) for j in js]
+
+
+# the smallest families, with and without a base, whatever the search draws
+SMALL_CASES = [
+    (PrimeField(2), variables(PrimeField(2), 1, 0), []),
+    (PrimeField(3), variables(PrimeField(3), 6, 6), variables(PrimeField(3), 6, 2, 2)),
+    (F, [LinearForm(3, np.array([1, 2, 3, 4]), F), LinearForm.variable(1, 3, F)], []),
+    (F, variables(F, 2, 0, 0), variables(F, 2, 1)),
+]
 
 
 @PROPERTY
-@given(form_lists(), st.integers(0, 3), st.data())
-def test_property_omit_one_matches_products(case, extra, data):
-    field, forms = case
+@given(form_lists(base_terms=3))
+@example(SMALL_CASES[0])
+@example(SMALL_CASES[1])
+@example(SMALL_CASES[2])
+@example(SMALL_CASES[3])
+def test_property_omit_one_matches_products(case):
+    field, forms, base_forms = case
     n = forms[0].n
-    base_forms = [data.draw(linear_forms(n, field)) for _ in range(extra)]
     base = product_of_linear_forms(base_forms) if base_forms else None
     got = list(products_omitting_each(forms, base))
     assert len(got) == len(forms)
@@ -236,8 +254,10 @@ def test_property_omit_one_matches_products(case, extra, data):
 
 @PROPERTY
 @given(form_lists(max_terms=200_000))
+@example(SMALL_CASES[2])
+@example(SMALL_CASES[3])
 def test_property_mul_linear_matches_oracle(case):
-    field, forms = case
+    field, forms, _ = case
     *head, last = forms
     acc = HomPoly.from_linear(last)
     for ell in reversed(head):
@@ -264,8 +284,10 @@ def prefix_fold_tangent_columns(point, field):
 
 @PROPERTY
 @given(form_lists())
+@example(SMALL_CASES[0])
+@example(SMALL_CASES[2])
 def test_property_tangent_columns_match_prefix_fold(case):
-    field, forms = case
+    field, forms, _ = case
     point = ChowPoint(tuple(forms))
     got = tangent_columns(point, field)
     want = prefix_fold_tangent_columns(point, field)
