@@ -1,10 +1,13 @@
 import re
 
+import numpy as np
 import pytest
 
 import chowdefect.bolattice as bo
 import chowdefect.certificate as cert
+from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.gfpoly import DimensionMismatch, PrimeField
+from chowdefect.sampling import SUBSTREAM_ALGORITHM, FormSampler, RecordedForms
 
 F = PrimeField(8191)
 QUAT = bo.quaternary_config()
@@ -159,24 +162,26 @@ def test_shape_mismatch_detected():
         cert.reverify(cert.parse(text), branch="s1")
 
 
-def test_low_order_quaternary_certificate_reverifies():
-    # a degree-28 matrix with one subspace block, one generic and one
-    # restricted point: small enough to rebuild quickly while exercising
-    # the g/l/f role vocabulary end to end
-    from chowdefect.gflinalg import rank_from_column_blocks
-    from chowdefect.sampling import SUBSTREAM_ALGORITHM, FormSampler
-
-    seed = 555
-    spec = bo.prepare_build(QUAT, 28, 1, 1, 1, FormSampler(seed, F))
+def small_certificate(config, t, i, eta, mu, seed):
+    """Certificate text for an order-i statement with eta generic and mu
+    restricted points, at a size that ranks in well under a second."""
+    spec = bo.prepare_build(config, t, i, eta, mu, FormSampler(seed, F))
     rank = rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, 8191, total_cols=spec.cols)
     outcome = bo.VerificationOutcome(
-        family="quaternary", t=28, i=1, branch="s1", abundance="SUB",
+        family=config.family, t=t, i=i, branch="s1", abundance="SUB",
         rows=spec.rows, cols=spec.cols, expected=rank, found=rank, verdict="TRUE",
         seed=seed, prime=8191, resamples=0, retries=0,
         construct_seconds=0.0, rank_seconds=0.0, attempts=((seed, rank),),
         forms=tuple((label, tuple(int(v) for v in c)) for label, c in spec.forms),
     )
-    text = cert.emit_text(outcome)
+    return cert.emit_text(outcome), rank
+
+
+def test_low_order_quaternary_certificate_reverifies():
+    # a degree-28 matrix with one subspace block, one generic and one
+    # restricted point: small enough to rebuild quickly while exercising
+    # the g/l/f role vocabulary end to end
+    text, rank = small_certificate(QUAT, 28, 1, 1, 1, seed=555)
     assert re.search(r"^g_\{0,26\} = ", text, re.M)
     assert re.search(r"^f_\{0,0,0\} = ", text, re.M)
     c = cert.parse(text)
@@ -188,3 +193,47 @@ def test_low_order_quaternary_certificate_reverifies():
     # the recorded counts are not the real plan for branch s1 at t=28, and
     # reverification notices exactly that
     assert report.plan_consistent is False
+
+
+@pytest.mark.parametrize("extra", [
+    "g_{0,0} = [   1    2    3    4]",   # a subspace form in an order-0 certificate
+    "k_{0} = [   1    2    3    4]",     # a cubic label
+    "l_{0,0} = [   1    2    3    4]",   # a duplicated label
+])
+def test_labels_outside_the_plan_rejected(extra):
+    lines = EXTERNAL_CERT.splitlines()
+    lines.insert(2, extra)
+    with pytest.raises(DimensionMismatch):
+        cert.reverify(cert.parse("\n".join(lines) + "\n"), branch="s1")
+
+
+@pytest.mark.parametrize("config, t", [(QUAT, 56), (CUB, 60)])
+def test_recorded_forms_rebuild_the_sampled_spec_at_order_2(config, t):
+    # order 2 puts subspaces j=0 and j=1 in the plan; for cubics the forms of
+    # subspace j=1 are supported off variables 27..53
+    sampled = bo.prepare_build(config, t, 2, 1, 1, FormSampler(60, F))
+    replayed = bo.prepare_build(config, t, 2, 1, 1, RecordedForms(sampled.keyed, sampled.n, 8191))
+    assert [label for label, _ in replayed.forms] == [label for label, _ in sampled.forms]
+    for (_, a), (_, b) in zip(replayed.forms, sampled.forms):
+        assert np.array_equal(a, b)
+    assert replayed.keyed.keys() == sampled.keyed.keys()
+    assert all(np.array_equal(replayed.keyed[k], v) for k, v in sampled.keyed.items())
+    if config is CUB:
+        assert not sampled.keyed[("kj", 0, 1, 0)][27:54].any()
+        assert np.array_equal(replayed.row_keep, sampled.row_keep)
+    else:
+        assert replayed.row_keep is None and sampled.row_keep is None
+    assert (replayed.rows_full, replayed.rows, replayed.cols) == (sampled.rows_full, sampled.rows, sampled.cols)
+
+
+@pytest.mark.parametrize("config, label", [(QUAT, "f_{0,0,0}"), (CUB, "k_{0,0}")])
+def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
+    text, _ = small_certificate(config, 28, 1, 1, 1, seed=808)
+    target = next(ln for ln in text.splitlines() if ln.startswith(label + " = "))
+    body = target.split("[")[1].rstrip("]").split()
+    # change a coordinate inside the support, so the form still fits its subspace
+    k = next(k for k, v in enumerate(body) if int(v))
+    body[k] = str((int(body[k]) + 1) % 8191).rjust(len(body[k]))
+    report = cert.reverify(cert.parse(text.replace(target, f"{label} = [{' '.join(body)}]")))
+    assert report.provenance == "mismatch"
+    assert not report.ok
