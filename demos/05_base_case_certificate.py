@@ -5,11 +5,11 @@ factors are recorded in the certificate, and reverification rebuilds the
 56 x 60 matrix from those coefficients alone and recomputes the rank.
 """
 
-from chowdefect import PrimeField, quaternary_config, verify_statement
+from chowdefect import PrimeField, config_for, verify_statement
 from chowdefect.certificate import emit_text, parse, reverify
 
 field = PrimeField(8191)
-config = quaternary_config()
+config = config_for("quaternary")
 
 outcome = verify_statement(config, 5, "s1", seed=1452337571, field=field)
 text = emit_text(outcome)

@@ -7,10 +7,10 @@ space, which is why the full run wants big hardware while everything
 through t = 33 fits on a desk.
 """
 
-from chowdefect import base_case_schedule, cubics_config, quaternary_config
+from chowdefect import base_case_schedule, config_for
 from chowdefect.bolattice import plan_statement
 
-for config in (quaternary_config(), cubics_config()):
+for config in (config_for("quaternary"), config_for("cubics")):
     schedule = base_case_schedule(config)
     print(f"{config.family}: {len(schedule)} statements, t = {schedule[0].t} .. {schedule[-1].t}")
     for stmt in (schedule[0], schedule[len(schedule) // 2], schedule[-1]):

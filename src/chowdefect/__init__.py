@@ -50,10 +50,9 @@ from .bolattice import (
     a_i,
     abundance,
     base_case_schedule,
-    cubics_config,
+    config_for,
     induction_arithmetic_check,
     point_plan,
-    quaternary_config,
     verify_statement,
 )
 from .certificate import Certificate, ParseError, emit_text, parse, reverify

@@ -50,7 +50,6 @@ from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for pe
     PrimeField,
     division_map,
     lex_positions,
-    monomial_count,
     monomial_exponents,
     mul_linear,
     padded,
@@ -116,22 +115,13 @@ class LatticeConfig:
         return min(-(-t // self.ell) - 1, self.k0)
 
 
-def quaternary_config() -> LatticeConfig:
-    """Degree induction for quaternary forms: X(t) is the degree-t Chow
-    variety in 4 variables."""
-    s1, s2 = make_proof_functions()
-    return LatticeConfig(QUATERNARY, ell=27, k0=3, t0=82, s1=s1, s2=s2)
-
-
-def cubics_config() -> LatticeConfig:
-    """Dimension induction for cubics: X(t) is the cubic Chow variety in
-    t+1 variables."""
-    s1, s2 = make_proof_functions()
-    return LatticeConfig(CUBICS, ell=27, k0=3, t0=82, s1=s1, s2=s2)
-
-
 def config_for(family: str) -> LatticeConfig:
-    return quaternary_config() if family == QUATERNARY else cubics_config()
+    """Family parameters of the degree induction (quaternary: X(t) is the
+    degree-t Chow variety in 4 variables) or of the dimension induction
+    (cubics: X(t) is the cubic Chow variety in t+1 variables).  An
+    unknown family raises ValueError."""
+    s1, s2 = make_proof_functions()
+    return LatticeConfig(family, ell=27, k0=3, t0=82, s1=s1, s2=s2)
 
 
 @dataclass(frozen=True)
@@ -244,32 +234,73 @@ def eliminated_row_count(config: LatticeConfig, t: int, i: int) -> int:
     )
 
 
-def _prepare_degree(config, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
-    n = 3
+def form_plan(
+    family: str, t: int, i: int, ell: int, eta: int, mu: int
+) -> Iterator[tuple[str, tuple, list[int] | None]]:
+    """Every linear form of a statement as (label, (role, i, j, gamma), support),
+    in emission order.
+
+    This is the one definition of the certificate labels, the substream
+    keys they stand for, and the coordinates each form may use (None for
+    all).  Degree induction draws ell factors g for each subspace, t
+    factors l for each generic point and t - ell factors f for each point
+    inside a subspace; dimension induction draws the three factors k, l, m
+    of each generic point and kj, lj, mj of each point inside subspace j,
+    which avoid that subspace's block of ell variables.
+    """
+    if family == QUATERNARY:
+        for j in range(i):
+            for g in range(ell):
+                yield f"g_{{{j},{g}}}", ("g", 0, j, g), None
+        for pt in range(eta):
+            for g in range(t):
+                yield f"l_{{{pt},{g}}}", ("l", pt, 0, g), None
+        for j in range(i):
+            for pt in range(mu):
+                for g in range(t - ell):
+                    yield f"f_{{{pt},{j},{g}}}", ("f", pt, j, g), None
+        return
+    for pt in range(eta):
+        for role in "klm":
+            yield f"{role}_{{{pt}}}", (role, pt, 0, 0), None
+    for j in range(i):
+        block = range(ell * j, ell * (j + 1))
+        support = [v for v in range(t + 1) if v not in block]
+        for pt in range(mu):
+            for role in "klm":
+                yield f"{role}_{{{pt},{j}}}", (role + "j", pt, j, 0), support
+
+
+def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
+    """Draw a statement's forms and fix its shape; `source` is a FormSampler
+    (normal runs) or RecordedForms (reverify)."""
+    n = 3 if config.family == QUATERNARY else t
     ell = config.ell
     forms: list[tuple[str, np.ndarray]] = []
     keyed: dict[tuple, np.ndarray] = {}
-
-    def draw(role, label, *, pi=0, pj=0, gamma=0, support=None):
+    for label, key, support in form_plan(config.family, t, i, ell, eta, mu):
+        role, pi, pj, gamma = key
         coeffs = source.linear_form(role, n, i=pi, j=pj, gamma=gamma, support=support)
         forms.append((label, coeffs))
-        keyed[(role, pi, pj, gamma)] = coeffs
-        return coeffs
+        keyed[key] = coeffs
 
-    for j in range(i):
-        for g in range(ell):
-            draw("g", f"g_{{{j},{g}}}", pj=j, gamma=g)
-    for pt in range(eta):
-        for g in range(t):
-            draw("l", f"l_{{{pt},{g}}}", pi=pt, gamma=g)
-    for j in range(i):
-        for pt in range(mu):
-            for g in range(t - ell):
-                draw("f", f"f_{{{pt},{j},{g}}}", pi=pt, pj=j, gamma=g)
-
-    rows = monomial_count(n, t)
+    rows_full = config.N(t)
+    keep = None
+    if config.family == CUBICS and i > 0:
+        exps = monomial_exponents(n, 3)
+        eliminated = np.zeros(rows_full, dtype=bool)
+        for j in range(i):
+            block = slice(ell * j, ell * (j + 1))
+            eliminated |= exps[:, block].sum(axis=1) == 0
+        keep = np.flatnonzero(~eliminated)
+        expect_gone = eliminated_row_count(config, t, i)
+        if rows_full - keep.size != expect_gone:
+            raise AssertionError(
+                f"row elimination count {rows_full - keep.size} != inclusion-exclusion {expect_gone}"
+            )
+    rows = rows_full if keep is None else int(keep.size)
     cols = column_count(config, t, i, eta, mu)
-    return BuildSpec(QUATERNARY, t, i, ell, eta, mu, n, rows, rows, cols, None, forms, keyed)
+    return BuildSpec(config.family, t, i, ell, eta, mu, n, rows_full, rows, cols, keep, forms, keyed)
 
 
 def _degree_columns(spec: BuildSpec, field: PrimeField):
@@ -308,50 +339,6 @@ def _degree_columns(spec: BuildSpec, field: PrimeField):
                 yield padded(partial.coeffs), G
 
 
-def _prepare_dimension(config, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
-    n = t
-    ell = config.ell
-    forms: list[tuple[str, np.ndarray]] = []
-    keyed: dict[tuple, np.ndarray] = {}
-
-    def draw(role, label, *, pi=0, pj=0, support=None):
-        coeffs = source.linear_form(role, n, i=pi, j=pj, support=support)
-        forms.append((label, coeffs))
-        keyed[(role, pi, pj, 0)] = coeffs
-        return coeffs
-
-    for pt in range(eta):
-        draw("k", f"k_{{{pt}}}", pi=pt)
-        draw("l", f"l_{{{pt}}}", pi=pt)
-        draw("m", f"m_{{{pt}}}", pi=pt)
-    for j in range(i):
-        block = range(ell * j, ell * (j + 1))
-        support = [v for v in range(n + 1) if v not in block]
-        for pt in range(mu):
-            draw("kj", f"k_{{{pt},{j}}}", pi=pt, pj=j, support=support)
-            draw("lj", f"l_{{{pt},{j}}}", pi=pt, pj=j, support=support)
-            draw("mj", f"m_{{{pt},{j}}}", pi=pt, pj=j, support=support)
-
-    rows_full = monomial_count(n, 3)
-    if i > 0:
-        exps = monomial_exponents(n, 3)
-        eliminated = np.zeros(rows_full, dtype=bool)
-        for j in range(i):
-            block = slice(ell * j, ell * (j + 1))
-            eliminated |= exps[:, block].sum(axis=1) == 0
-        keep = np.flatnonzero(~eliminated)
-        expect_gone = eliminated_row_count(config, t, i)
-        if rows_full - keep.size != expect_gone:
-            raise AssertionError(
-                f"row elimination count {rows_full - keep.size} != inclusion-exclusion {expect_gone}"
-            )
-    else:
-        keep = None
-    rows = rows_full if keep is None else int(keep.size)
-    cols = column_count(config, t, i, eta, mu)
-    return BuildSpec(CUBICS, t, i, ell, eta, mu, n, rows_full, rows, cols, keep, forms, keyed)
-
-
 def _dimension_columns(spec: BuildSpec, field: PrimeField):
     n, ell = spec.n, spec.ell
     keyed = spec.keyed
@@ -372,14 +359,6 @@ def _dimension_columns(spec: BuildSpec, field: PrimeField):
         block_rows = G[ell * j : ell * (j + 1)]
         for pt in range(spec.mu):
             yield from point_groups("j", pt, j, block_rows)
-
-
-def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
-    """Draw a statement's forms and fix its shape; `source` is a FormSampler
-    (normal runs) or RecordedForms (reverify)."""
-    if config.family == QUATERNARY:
-        return _prepare_degree(config, t, i, eta, mu, source)
-    return _prepare_dimension(config, t, i, eta, mu, source)
 
 
 def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:

@@ -22,9 +22,12 @@ seed.
 
 Reverification rebuilds the matrix from the recorded forms alone — not
 from the seed — and recomputes the rank, so a certificate stands on its
-own even for a consumer with a different random number generator.  When
-the trailer names our substream algorithm, the forms are additionally
-re-derived from the seed and compared byte for byte, which catches any
+own even for a consumer with a different random number generator.  Both
+reverification and the provenance check follow bolattice.form_plan: the
+recorded labels must be exactly the plan's labels, and the plan gives
+each label its substream key and support.  When the trailer names our
+substream algorithm, the forms are additionally re-derived from the seed
+and compared byte for byte, which catches any
 tampering with recorded coefficients (a single flipped coefficient still
 yields a generic configuration of the same rank, so the rank check alone
 cannot see it).
@@ -33,6 +36,7 @@ cannot see it).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,62 +240,21 @@ def _infer_family(cert: Certificate) -> str:
     return bolattice.QUATERNARY
 
 
-def _keyed_forms(cert: Certificate, family: str) -> dict[tuple, tuple]:
-    """Map certificate labels back to substream keys; validates uniqueness."""
-    keyed: dict[tuple, tuple] = {}
-    for label, coeffs in cert.forms:
-        m = re.match(r"^([a-z]+)_\{(\d+(?:,\d+)*)\}$", label)
-        base, idx = m.group(1), [int(v) for v in m.group(2).split(",")]
+def _point_counts(cert: Certificate, family: str) -> tuple[int, int]:
+    """(eta, mu) as the labels imply them: the distinct point indices (always
+    the first index) among generic-point and restricted-point labels.  Other
+    labels are left to the comparison with the form plan."""
+    generic, restricted = set(), set()
+    for label, _ in cert.forms:
+        base, _, idx = label.partition("_")
+        idx = idx[1:-1].split(",")
         if family == bolattice.QUATERNARY:
-            if base == "g" and len(idx) == 2:
-                key = ("g", 0, idx[0], idx[1])
-            elif base == "l" and len(idx) == 2:
-                key = ("l", idx[0], 0, idx[1])
-            elif base == "f" and len(idx) == 3:
-                key = ("f", idx[0], idx[1], idx[2])
-            else:
-                raise DimensionMismatch(f"unexpected form label {label} for {family}")
+            points = {"l": generic, "f": restricted}.get(base)
         else:
-            if base in ("k", "l", "m") and len(idx) == 1:
-                key = (base, idx[0], 0, 0)
-            elif base in ("k", "l", "m") and len(idx) == 2:
-                key = (base + "j", idx[0], idx[1], 0)
-            else:
-                raise DimensionMismatch(f"unexpected form label {label} for {family}")
-        if key in keyed:
-            raise DimensionMismatch(f"duplicate form {label}")
-        keyed[key] = coeffs
-    return keyed
-
-
-def _counts_from_keys(cert: Certificate, family: str, keyed: dict) -> tuple[int, int]:
-    """Recover (eta, mu) from the recorded forms and check completeness."""
-    t, i, ell = cert.t, cert.i, cert.ell
-    roles = {}
-    for key in keyed:
-        roles.setdefault(key[0], set()).add(key[1:])
-    if family == bolattice.QUATERNARY:
-        want_g = {(0, j, g) for j in range(i) for g in range(ell)}
-        if roles.get("g", set()) != want_g:
-            raise DimensionMismatch(f"subspace forms do not cover {i} subspaces of {ell} factors")
-        eta = len({k[0] for k in roles.get("l", set())})
-        if roles.get("l", set()) != {(pt, 0, g) for pt in range(eta) for g in range(t)}:
-            raise DimensionMismatch(f"generic point forms do not cover {eta} points of {t} factors")
-        mus = {k[0] for k in roles.get("f", set())}
-        mu = len(mus)
-        want_f = {(pt, j, g) for pt in range(mu) for j in range(i) for g in range(t - ell)}
-        if roles.get("f", set()) != want_f:
-            raise DimensionMismatch("restricted point forms are incomplete")
-    else:
-        eta = len({k[0] for k in roles.get("k", set())})
-        for base in ("k", "l", "m"):
-            if roles.get(base, set()) != {(pt, 0, 0) for pt in range(eta)}:
-                raise DimensionMismatch(f"generic factor set {base} does not cover {eta} points")
-        mu = len({k[0] for k in roles.get("kj", set())})
-        for base in ("kj", "lj", "mj"):
-            if roles.get(base, set()) != {(pt, j, 0) for pt in range(mu) for j in range(i)}:
-                raise DimensionMismatch(f"restricted factor set {base} is incomplete")
-    return eta, mu
+            points = {1: generic, 2: restricted}.get(len(idx))
+        if points is not None:
+            points.add(idx[0])
+    return len(generic), len(restricted)
 
 
 @dataclass
@@ -307,25 +270,20 @@ class ReverifyReport:
     ok: bool
 
 
-def check_provenance(cert: Certificate, family: str, keyed: dict) -> str:
-    """Re-derive every form from the recorded seed and compare.
+def check_provenance(cert: Certificate, spec: bolattice.BuildSpec) -> str:
+    """Re-derive every form of the plan from the recorded seed and compare
+    with the forms the spec was built from.
 
     Only possible when the certificate names our substream algorithm;
     foreign certificates return "unknown".
     """
     if cert.substream != SUBSTREAM_ALGORITHM:
         return "unknown"
-    field = PrimeField(cert.prime)
-    sampler = FormSampler(cert.seed, field)
-    n = 3 if family == bolattice.QUATERNARY else cert.t
-    ell = cert.ell
-    for (role, pi, pj, gamma), coeffs in keyed.items():
-        support = None
-        if role in ("kj", "lj", "mj"):
-            block = range(ell * pj, ell * (pj + 1))
-            support = [v for v in range(n + 1) if v not in block]
-        regenerated = sampler.linear_form(role, n, i=pi, j=pj, gamma=gamma, support=support)
-        if not np.array_equal(regenerated, np.asarray(coeffs, dtype=np.int64)):
+    sampler = FormSampler(cert.seed, PrimeField(cert.prime))
+    for _, key, support in bolattice.form_plan(spec.family, spec.t, spec.i, spec.ell, spec.eta, spec.mu):
+        role, pi, pj, gamma = key
+        regenerated = sampler.linear_form(role, spec.n, i=pi, j=pj, gamma=gamma, support=support)
+        if not np.array_equal(regenerated, spec.keyed[key]):
             return "mismatch"
     return "confirmed"
 
@@ -341,13 +299,21 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
     family = family or cert.family or _infer_family(cert)
     branch = branch or cert.branch
     config = bolattice.config_for(family)
+    # an unknown branch raises here, before any rebuild
+    plan = None if branch is None else bolattice.plan_statement(config, cert.t, branch)
     field = PrimeField(cert.prime)
-    keyed = _keyed_forms(cert, family)
-    eta, mu = _counts_from_keys(cert, family, keyed)
 
-    n = 3 if family == bolattice.QUATERNARY else cert.t
-    source = RecordedForms({k: np.asarray(v, dtype=np.int64) for k, v in keyed.items()},
-                           n, cert.prime)
+    eta, mu = _point_counts(cert, family)
+    planned = list(bolattice.form_plan(family, cert.t, cert.i, config.ell, eta, mu))
+    recorded = Counter(label for label, _ in cert.forms)
+    wanted = Counter(label for label, _, _ in planned)
+    if recorded != wanted:
+        raise DimensionMismatch(
+            f"recorded forms are not the {family} plan for i={cert.i}, eta={eta}, mu={mu}: "
+            f"extra or repeated {sorted(recorded - wanted)[:3]}, missing {sorted(wanted - recorded)[:3]}"
+        )
+    coeffs = dict(cert.forms)
+    source = RecordedForms({key: np.asarray(coeffs[label], dtype=np.int64) for label, key, _ in planned})
     spec = bolattice.prepare_build(config, cert.t, cert.i, eta, mu, source)
     if (spec.rows, spec.cols) != (cert.rows, cert.cols):
         raise DimensionMismatch(
@@ -358,12 +324,11 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
     )
 
     plan_consistent = expected_matches = None
-    if branch in bolattice.BRANCHES:
-        plan = bolattice.plan_statement(config, cert.t, branch)
+    if plan is not None:
         plan_consistent = (plan["i"], plan["eta"], plan["mu"]) == (cert.i, eta, mu)
         expected_matches = plan["expected"] == cert.expected
 
-    provenance = check_provenance(cert, family, keyed)
+    provenance = check_provenance(cert, spec)
     rank_matches = rank == cert.found
     verdict_confirmed = rank_matches and cert.verdict == "TRUE"
     ok = (

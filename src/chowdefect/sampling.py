@@ -112,10 +112,8 @@ class RecordedForms:
     the builders are oblivious to which side they are talking to.
     """
 
-    def __init__(self, forms: dict[tuple, np.ndarray], n: int, modulus: int):
+    def __init__(self, forms: dict[tuple, np.ndarray]):
         self._forms = dict(forms)
-        self._n = n
-        self._modulus = modulus
         self.resamples = 0
 
     def linear_form(

@@ -26,8 +26,8 @@ from chowdefect.gfpoly import (
 from chowdefect.sampling import FormSampler
 
 F = PrimeField(8191)
-QUAT = bo.quaternary_config()
-CUB = bo.cubics_config()
+QUAT = bo.config_for(bo.QUATERNARY)
+CUB = bo.config_for(bo.CUBICS)
 
 SWEEP_SEED = 20260809
 

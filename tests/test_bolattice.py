@@ -12,8 +12,8 @@ from chowdefect.sampling import FormSampler
 from chowdefect.chow import SecantProblem, terracini_rank
 
 F = PrimeField(8191)
-QUAT = bo.quaternary_config()
-CUB = bo.cubics_config()
+QUAT = bo.config_for(bo.QUATERNARY)
+CUB = bo.config_for(bo.CUBICS)
 
 
 def build(cfg, t, branch, seed):

@@ -10,8 +10,8 @@ from chowdefect.gfpoly import DimensionMismatch, PrimeField
 from chowdefect.sampling import SUBSTREAM_ALGORITHM, FormSampler, RecordedForms
 
 F = PrimeField(8191)
-QUAT = bo.quaternary_config()
-CUB = bo.cubics_config()
+QUAT = bo.config_for(bo.QUATERNARY)
+CUB = bo.config_for(bo.CUBICS)
 
 # A published certificate for the degree-5 subabundant case, kept verbatim
 # as an external fixture: its recorded forms must rebuild to rank 48.
@@ -199,7 +199,7 @@ def test_low_order_quaternary_certificate_reverifies():
     "g_{0,0} = [   1    2    3    4]",   # a subspace form in an order-0 certificate
     "k_{0} = [   1    2    3    4]",     # a cubic label
     "l_{0,0} = [   1    2    3    4]",   # a duplicated label
-])
+], ids=["subspace-form-at-order-0", "cubic-label", "duplicate"])
 def test_labels_outside_the_plan_rejected(extra):
     lines = EXTERNAL_CERT.splitlines()
     lines.insert(2, extra)
@@ -207,12 +207,12 @@ def test_labels_outside_the_plan_rejected(extra):
         cert.reverify(cert.parse("\n".join(lines) + "\n"), branch="s1")
 
 
-@pytest.mark.parametrize("config, t", [(QUAT, 56), (CUB, 60)])
+@pytest.mark.parametrize("config, t", [(QUAT, 56), (CUB, 60)], ids=["quaternary", "cubics"])
 def test_recorded_forms_rebuild_the_sampled_spec_at_order_2(config, t):
     # order 2 puts subspaces j=0 and j=1 in the plan; for cubics the forms of
     # subspace j=1 are supported off variables 27..53
     sampled = bo.prepare_build(config, t, 2, 1, 1, FormSampler(60, F))
-    replayed = bo.prepare_build(config, t, 2, 1, 1, RecordedForms(sampled.keyed, sampled.n, 8191))
+    replayed = bo.prepare_build(config, t, 2, 1, 1, RecordedForms(sampled.keyed))
     assert [label for label, _ in replayed.forms] == [label for label, _ in sampled.forms]
     for (_, a), (_, b) in zip(replayed.forms, sampled.forms):
         assert np.array_equal(a, b)
@@ -226,7 +226,7 @@ def test_recorded_forms_rebuild_the_sampled_spec_at_order_2(config, t):
     assert (replayed.rows_full, replayed.rows, replayed.cols) == (sampled.rows_full, sampled.rows, sampled.cols)
 
 
-@pytest.mark.parametrize("config, label", [(QUAT, "f_{0,0,0}"), (CUB, "k_{0,0}")])
+@pytest.mark.parametrize("config, label", [(QUAT, "f_{0,0,0}"), (CUB, "k_{0,0}")], ids=["quaternary", "cubics"])
 def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
     text, _ = small_certificate(config, 28, 1, 1, 1, seed=808)
     target = next(ln for ln in text.splitlines() if ln.startswith(label + " = "))
@@ -237,3 +237,18 @@ def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
     report = cert.reverify(cert.parse(text.replace(target, f"{label} = [{' '.join(body)}]")))
     assert report.provenance == "mismatch"
     assert not report.ok
+
+
+@pytest.mark.parametrize("line, bad", [("family=cubics", "family=bogus"), ("branch=s1", "branch=s9")],
+                         ids=["family", "branch"])
+def test_unknown_family_or_branch_refused(line, bad):
+    # either one used to reverify as cubics, the branch skipping the plan checks
+    _, text = emit(CUB, 6, "s1", seed=4)
+    assert line in text
+    with pytest.raises(ValueError, match=bad.partition("=")[2]):
+        cert.reverify(cert.parse(text.replace(line, bad)))
+
+
+def test_unknown_passed_branch_refused():
+    with pytest.raises(ValueError, match="s9"):
+        cert.reverify(cert.parse(EXTERNAL_CERT), branch="s9")

@@ -74,7 +74,7 @@ def test_verify_memory_cap_counts_concurrent_statements(tmp_path, capsys, monkey
     # each t=12 basis (~0.77 MiB) fits a 0.001 GiB cap, but two at once do not
     monkeypatch.chdir(tmp_path)
     for branch in ("s1", "s2"):
-        assert bo.plan_statement(bo.quaternary_config(), 12, branch)["basis_bytes"] < 0.001 * 2**30
+        assert bo.plan_statement(bo.config_for(bo.QUATERNARY), 12, branch)["basis_bytes"] < 0.001 * 2**30
     argv = ("verify", "--family", "quaternary", "--t", "12", "--branch", "both",
             "--seed", "1", "--mem-cap-gb", "0.001")
     code, _, err = run(capsys, *argv, "--threads", "2")
@@ -160,6 +160,16 @@ def test_reverify_cycle(tmp_path, capsys, monkeypatch):
     truncated.write_text("\n".join(text.splitlines()[:4]) + "\n")
     assert run(capsys, "reverify", str(truncated))[0] == 1
     assert run(capsys, "reverify", str(tmp_path / "missing.cert"))[0] == 1
+
+
+def test_reverify_refuses_unknown_family(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "verify", "--family", "cubics", "--t", "6", "--branch", "s1", "--seed", "4")
+    path = tmp_path / "certificates" / "cubics_t006_s1.cert"
+    path.write_text(path.read_text().replace("family=cubics", "family=bogus"))
+    code, _, err = run(capsys, "reverify", str(path))
+    assert code == 2
+    assert "bogus" in err
 
 
 def test_selfcheck_quick(capsys):

@@ -63,7 +63,7 @@ def test_support_mask():
 
 def test_recorded_forms_replay_and_validation():
     coeffs = np.array([1, 2, 3, 4], dtype=np.int64)
-    rec = RecordedForms({("l", 0, 0, 0): coeffs}, n=3, modulus=8191)
+    rec = RecordedForms({("l", 0, 0, 0): coeffs})
     assert np.array_equal(rec.linear_form("l", 3, i=0), coeffs)
     with pytest.raises(DimensionMismatch):
         rec.linear_form("l", 3, i=1)
