@@ -233,7 +233,7 @@ def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
     body = target.split("[")[1].rstrip("]").split()
     # change a coordinate inside the support, so the form still fits its subspace
     k = next(k for k, v in enumerate(body) if int(v))
-    body[k] = str((int(body[k]) + 1) % 8191).rjust(len(body[k]))
+    body[k] = str((int(body[k]) + 1) % 8191)
     report = cert.reverify(cert.parse(text.replace(target, f"{label} = [{' '.join(body)}]")))
     assert report.provenance == "mismatch"
     assert not report.ok
@@ -242,7 +242,7 @@ def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
 @pytest.mark.parametrize("line, bad", [("family=cubics", "family=bogus"), ("branch=s1", "branch=s9")],
                          ids=["family", "branch"])
 def test_unknown_family_or_branch_refused(line, bad):
-    # either one used to reverify as cubics, the branch skipping the plan checks
+    # an unknown name must neither fall back to cubics nor skip the plan checks
     _, text = emit(CUB, 6, "s1", seed=4)
     assert line in text
     with pytest.raises(ValueError, match=bad.partition("=")[2]):
