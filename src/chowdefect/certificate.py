@@ -299,6 +299,8 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
     family = family or cert.family or _infer_family(cert)
     branch = branch or cert.branch
     config = bolattice.config_for(family)
+    if cert.ell != config.ell:
+        raise DimensionMismatch(f"statement step {cert.ell} but the {family} lattice steps by {config.ell}")
     # an unknown branch raises here, before any rebuild
     plan = None if branch is None else bolattice.plan_statement(config, cert.t, branch)
     field = PrimeField(cert.prime)

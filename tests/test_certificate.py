@@ -239,6 +239,16 @@ def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
     assert not report.ok
 
 
+@pytest.mark.parametrize("config", [QUAT, CUB], ids=["quaternary", "cubics"])
+def test_edited_statement_step_rejected(config):
+    # the step fixes which factors each subspace and restricted point has, so
+    # a statement line with any other step is not the certificate's statement
+    text, _ = small_certificate(config, 28, 1, 1, 1, seed=909)
+    assert "T_1(" in text and ", 28, 27) is TRUE" in text
+    with pytest.raises(DimensionMismatch, match="step 26"):
+        cert.reverify(cert.parse(text.replace(", 28, 27) is TRUE", ", 28, 26) is TRUE")))
+
+
 @pytest.mark.parametrize("line, bad", [("family=cubics", "family=bogus"), ("branch=s1", "branch=s9")],
                          ids=["family", "branch"])
 def test_unknown_family_or_branch_refused(line, bad):
