@@ -414,3 +414,140 @@ def test_column_count_mismatch_is_loud():
         with pytest.raises(AssertionError, match="columns"):
             for _ in bo.column_blocks(bad, F):
                 pass
+
+
+# ---------------------------------------------------------------------------
+# column pruning: the generators a statement can drop and the ranks that stay
+
+
+def full_generator_columns(spec):
+    """Every generator column of a statement, with its provenance, built
+    from products_omitting_each times every x_v (no division-map gather).
+
+    Entries are (kind, key, column) on the spec's rows: ("R1", (j, a), G_j x^a)
+    with the shift monomials a in lex order, subspace blocks j inside, and
+    ("T", (point, h, v), x_v * F / l_h) with point = ("generic", pt) or
+    ("sub", j, pt).  Cubic subspace points carry only their block's variables.
+    """
+    from chowdefect.gfpoly import (HomPoly, LinearForm, monomial_exponents, mul_linear,
+                                   product_of_linear_forms, products_omitting_each)
+
+    n, t, ell, keyed = spec.n, spec.t, spec.ell, spec.keyed
+    rows = slice(None) if spec.row_keep is None else spec.row_keep
+
+    def form(key):
+        return LinearForm(n, keyed[key], F)
+
+    def times_monomial(poly, exps):
+        for v, e in enumerate(exps):
+            for _ in range(e):
+                poly = mul_linear(poly, LinearForm.variable(v, n, F))
+        return poly
+
+    out = []
+
+    def tangent(point, forms, base=None, variables=range(n + 1)):
+        for h, partial in enumerate(products_omitting_each(forms, base)):
+            for v in variables:
+                col = mul_linear(partial, LinearForm.variable(v, n, F)).coeffs
+                out.append(("T", (point, h, v), col[rows]))
+
+    if spec.family == bo.QUATERNARY:
+        g = [[form(("g", 0, j, k)) for k in range(ell)] for j in range(spec.i)]
+        gj = [product_of_linear_forms(forms) for forms in g]
+        if spec.i:
+            for a in monomial_exponents(n, t - ell):
+                for j in range(spec.i):
+                    out.append(("R1", (j, tuple(a)), times_monomial(gj[j], a).coeffs))
+        for pt in range(spec.eta):
+            tangent(("generic", pt), [form(("l", pt, 0, k)) for k in range(t)])
+        for j in range(spec.i):
+            for pt in range(spec.mu):
+                base = product_of_linear_forms([form(("f", pt, j, k)) for k in range(t - ell)])
+                tangent(("sub", j, pt), g[j], base)
+    else:
+        for pt in range(spec.eta):
+            tangent(("generic", pt), [form((r, pt, 0, 0)) for r in "klm"])
+        for j in range(spec.i):
+            for pt in range(spec.mu):
+                tangent(("sub", j, pt), [form((r + "j", pt, j, 0)) for r in "klm"],
+                        variables=range(ell * j, ell * (j + 1)))
+    return out
+
+
+def point_factor(spec, point, h):
+    """Coefficients of factor h at a point, as the full generator set orders them."""
+    if spec.family == bo.QUATERNARY:
+        return spec.keyed[("l", point[1], 0, h) if point[0] == "generic" else ("g", 0, point[1], h)]
+    role = "klm"[h]
+    return spec.keyed[(role, point[1], 0, 0) if point[0] == "generic" else (role + "j", point[2], point[1], 0)]
+
+
+def dropped(spec, kind, key):
+    """The pruning rule: generic points keep factor 0 whole, every other
+    factor loses x_v for v its first variable with a nonzero coefficient;
+    quaternary subspace points lose that column for every factor, and
+    cubic subspace points lose nothing."""
+    if kind == "R1":
+        return False
+    point, h, v = key
+    if point[0] == "generic" and h == 0:
+        return False
+    if point[0] == "sub" and spec.family == bo.CUBICS:
+        return False
+    return v == int(np.flatnonzero(point_factor(spec, point, h))[0])
+
+
+def pruning_specs():
+    """Both families at order 0 (whole statements) and order 1 (R1 and R3
+    columns; cubic row elimination with points inside the subspace)."""
+    specs = []
+    for cfg, t, branch in ((QUAT, 6, "s2"), (QUAT, 9, "s1"), (CUB, 7, "s1"), (CUB, 9, "s2")):
+        plan = bo.point_plan(cfg, t, branch)
+        specs.append(bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(11, F)))
+    specs.append(bo.prepare_build(QUAT, 28, 1, 2, 2, FormSampler(12, F)))
+    specs.append(bo.prepare_build(CUB, 28, 1, 2, 2, FormSampler(13, F)))
+    return specs
+
+
+def test_dropped_columns_are_exact_combinations_of_kept_ones():
+    # x_v F/l_h = c_{h,v}^{-1} (F - sum_{u != v} c_{h,u} x_u F/l_h), with F
+    # from the kept factor-0 columns of a generic point, or from the R1
+    # columns G_j x^a of a subspace point (F = base * G_j); checked mod P
+    p = F.modulus
+    for spec in pruning_specs():
+        cols = {(kind, key): col for kind, key, col in full_generator_columns(spec)}
+        n_dropped = 0
+        for (kind, key), col in cols.items():
+            if not dropped(spec, kind, key):
+                continue
+            n_dropped += 1
+            point, h, v = key
+            if point[0] == "generic":
+                c0 = point_factor(spec, point, 0)
+                F_col = sum(int(c0[u]) * cols[("T", (point, 0, u))] for u in range(spec.n + 1))
+            else:
+                from chowdefect.gfpoly import LinearForm, monomial_exponents, product_of_linear_forms
+                j, pt = point[1], point[2]
+                base = product_of_linear_forms([
+                    LinearForm(spec.n, spec.keyed[("f", pt, j, k)], F) for k in range(spec.t - spec.ell)
+                ])
+                shifts = monomial_exponents(spec.n, spec.t - spec.ell)
+                F_col = sum(int(b) * cols[("R1", (j, tuple(a)))] for b, a in zip(base.coeffs, shifts))
+            c = point_factor(spec, point, h)
+            rest = sum(int(c[u]) * cols[("T", (point, h, u))] for u in range(spec.n + 1) if u != v)
+            want = (F_col - rest) % p * pow(int(c[v]), p - 2, p) % p
+            assert np.array_equal(col % p, want), (spec.family, spec.t, key)
+        kept = len(cols) - n_dropped
+        # 3t+1 per generic point, 3*ell per subspace point, plus the R1 generators
+        r1 = spec.i * binomial(spec.t - spec.ell + 3, 3) if spec.family == bo.QUATERNARY else 0
+        assert kept == r1 + spec.eta * (3 * spec.t + 1) + spec.i * spec.mu * 3 * spec.ell
+
+
+def test_pruned_and_full_generators_have_equal_rank():
+    for spec in pruning_specs():
+        full = full_generator_columns(spec)
+        pruned = [col for kind, key, col in full if not dropped(spec, kind, key)]
+        assert len(pruned) < len(full)
+        whole = rank_mod_p(from_columns([col for _, _, col in full], F.modulus, rows=spec.rows))
+        assert rank_mod_p(from_columns(pruned, F.modulus, rows=spec.rows)) == whole
