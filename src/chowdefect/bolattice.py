@@ -55,6 +55,7 @@ from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for pe
     padded,
     product_of_linear_forms,
     products_omitting_each,
+    tangent_groups,
 )
 from .gflinalg import DEFAULT_BLOCK, ProgressHook, rank_from_column_blocks
 from .sampling import FormSampler, derive_retry_seed
@@ -64,6 +65,10 @@ CUBICS = "cubics"
 BRANCHES = ("s1", "s2")
 
 SUB, SUPER, EQUI = "SUB", "SUPER", "EQUI"
+
+# The fixed argument of every statement T_i(nd, t, ell): the quaternary
+# forms live in n+1 = 4 variables, and cubics have degree 3.
+STATEMENT_ND = 3
 
 
 class NegativeCount(ArithmeticError):
@@ -195,6 +200,16 @@ def point_plan(config: LatticeConfig, t: int, branch: str, i: int | None = None)
 # take(src, index[c]) for each row c of index, so column_blocks gathers
 # them straight into the block buffer.  For tangent columns src is a
 # padded partial product and index holds division-map rows, one per x_v.
+# Sources are float64, the dtype the rank engine computes in; every entry
+# is below P < 2^15, so the gather is exact.
+#
+# The stream holds only the generators that can add to the span
+# (gfpoly.tangent_groups): 3t+1 = m(t) columns per generic point instead of
+# 4t (quaternary) or 3t+3 (cubics), and 3*ell = m(t) - m(t-ell) per
+# quaternary point inside subspace j, whose product already lies in the
+# R1 span G_j * S_{t-ell}.  The dropped columns are exact combinations of
+# kept ones, so the rank is the rank of the full generator set, whose
+# shape (column_count) the certificate records.
 
 
 @dataclass
@@ -217,13 +232,21 @@ class BuildSpec:
 
 
 def column_count(config: LatticeConfig, t: int, i: int, eta: int, mu: int) -> int:
-    """Columns of the order-i matrix with eta generic and mu per-subspace points."""
+    """Columns of the order-i matrix with eta generic and mu per-subspace
+    points: the full generator set, whose shape the certificate records."""
     ell = config.ell
     if config.family == QUATERNARY:
         # R1 subspace generators, then tangent spaces: 4 columns per factor
         return i * binomial(t - ell + 3, 3) + eta * t * 4 + i * mu * ell * 4
     # 3 factor pairs per point, times the variables each pair is scattered to
     return eta * 3 * (t + 1) + mu * i * 3 * ell
+
+
+def kept_column_count(spec: BuildSpec) -> int:
+    """Columns column_blocks yields: the R1 generators, m(t) = 3t+1 per
+    generic point and m(t) - m(t - ell) = 3*ell per point inside a subspace."""
+    r1 = spec.i * binomial(spec.t - spec.ell + 3, 3) if spec.family == QUATERNARY else 0
+    return r1 + spec.eta * (3 * spec.t + 1) + spec.i * spec.mu * 3 * spec.ell
 
 
 def eliminated_row_count(config: LatticeConfig, t: int, i: int) -> int:
@@ -312,31 +335,29 @@ def _degree_columns(spec: BuildSpec, field: PrimeField):
 
     g_forms = [[lf("g", pj=j, gamma=g) for g in range(ell)] for j in range(spec.i)]
 
-    # R1: the subspace generator blocks, one column per degree t-ell monomial
+    # R1: the subspace generators G_j * x^a, one column per degree t-ell
+    # monomial a and subspace j; every G_j has degree ell, so the gather
+    # index depends on a alone and is built once for all j
     if spec.i > 0:
-        shift_exps = monomial_exponents(n, t - ell)
+        srcs = [padded(product_of_linear_forms(forms).coeffs, np.float64) for forms in g_forms]
         gj_exps = monomial_exponents(n, ell).astype(np.int64)
-        for forms in g_forms:
-            gj = product_of_linear_forms(forms).coeffs
-            src = padded(gj)
-            for row in shift_exps:
-                index = np.full((1, spec.rows_full), gj.size, dtype=np.intp)
-                index[0, lex_positions(gj_exps + row, n, t) - 1] = np.arange(gj.size)
+        quotients = np.arange(gj_exps.shape[0])
+        for row in monomial_exponents(n, t - ell):
+            index = np.full((1, spec.rows_full), quotients.size, dtype=np.intp)
+            index[0, lex_positions(gj_exps + row, n, t) - 1] = quotients
+            for src in srcs:
                 yield src, index
 
     # R2: tangent blocks at fully generic points
     G = division_map(n, t - 1)
     for pt in range(spec.eta):
-        pt_forms = [lf("l", pi=pt, gamma=g) for g in range(t)]
-        for partial in products_omitting_each(pt_forms):
-            yield padded(partial.coeffs), G
+        yield from tangent_groups([lf("l", pi=pt, gamma=g) for g in range(t)], G)
 
     # R3: tangent blocks (mod the subspace) at points inside each subspace
     for j in range(spec.i):
         for pt in range(spec.mu):
             base = product_of_linear_forms([lf("f", pi=pt, pj=j, gamma=g) for g in range(t - ell)])
-            for partial in products_omitting_each(g_forms[j], base=base):
-                yield padded(partial.coeffs), G
+            yield from tangent_groups(g_forms[j], G, base=base, product_in_span=True)
 
 
 def _dimension_columns(spec: BuildSpec, field: PrimeField):
@@ -347,31 +368,33 @@ def _dimension_columns(spec: BuildSpec, field: PrimeField):
     if spec.row_keep is not None:
         G = G[:, spec.row_keep]
 
-    def point_groups(role_suffix, pt, pj, index):
-        forms = [LinearForm(n, keyed[(role + role_suffix, pt, pj, 0)], field) for role in "klm"]
-        for partial in products_omitting_each(forms):
-            yield padded(partial.coeffs), index
+    def point_forms(role_suffix, pt, pj):
+        return [LinearForm(n, keyed[(role + role_suffix, pt, pj, 0)], field) for role in "klm"]
 
     for pt in range(spec.eta):
-        yield from point_groups("", pt, 0, G)
+        yield from tangent_groups(point_forms("", pt, 0), G)
 
+    # points inside subspace j avoid its block, so they are scattered only to
+    # the block's variables, and none of those columns is redundant
     for j in range(spec.i):
         block_rows = G[ell * j : ell * (j + 1)]
         for pt in range(spec.mu):
-            yield from point_groups("j", pt, j, block_rows)
+            for partial in products_omitting_each(point_forms("j", pt, j)):
+                yield padded(partial.coeffs, np.float64), block_rows
 
 
 def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
-    """The statement matrix as a stream of (spec.rows x <= block) column blocks.
+    """The statement's kept generators as a stream of (spec.rows x <= block)
+    float64 column blocks; their rank is the rank of the full matrix.
 
     Columns are generated as the blocks are pulled and written straight
     into an F-order block buffer; for dimension induction only the rows
     in Y are written.  Every block gets a fresh buffer, so blocks already
     handed out never change.  A drained stream whose column count is not
-    spec.cols raises AssertionError.
+    kept_column_count(spec) raises AssertionError.
     """
     groups = _degree_columns(spec, field) if spec.family == QUATERNARY else _dimension_columns(spec, field)
-    buf = np.empty((spec.rows, block), dtype=np.int64, order="F")
+    buf = np.empty((spec.rows, block), dtype=np.float64, order="F")
     k = emitted = 0
     for src, index in groups:
         at = 0
@@ -385,13 +408,14 @@ def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK
             if k == block:
                 yield buf
                 emitted += k
-                buf = np.empty((spec.rows, block), dtype=np.int64, order="F")
+                buf = np.empty((spec.rows, block), dtype=np.float64, order="F")
                 k = 0
     if k:
         yield buf[:, :k]
         emitted += k
-    if emitted != spec.cols:
-        raise AssertionError(f"generated {emitted} columns, the plan has {spec.cols}")
+    kept = kept_column_count(spec)
+    if emitted != kept:
+        raise AssertionError(f"generated {emitted} columns, the plan keeps {kept}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +525,7 @@ def verify_statement(
         construct_seconds = time.perf_counter() - tic
         tic = time.perf_counter()
         found = rank_from_column_blocks(
-            pulls, spec.rows, field.modulus, total_cols=spec.cols, progress=progress,
+            pulls, spec.rows, field.modulus, total_cols=kept_column_count(spec), progress=progress,
         )
         rank_seconds = time.perf_counter() - tic - pulls.seconds
         construct_seconds += pulls.seconds

@@ -20,9 +20,17 @@ preserved verbatim through parse/emit round-trips and excluded from the
 determinism guarantee; everything else is byte-reproducible from the
 seed.
 
+The shape line counts the full generator set of the statement
+(bolattice.column_count).  Verification and reverification rank the
+pruned stream of bolattice.column_blocks instead, which drops the
+generators that are exact combinations of kept ones, so its rank is the
+rank of that full matrix.
+
 Reverification rebuilds the matrix from the recorded forms alone — not
 from the seed — and recomputes the rank, so a certificate stands on its
-own even for a consumer with a different random number generator.  Both
+own even for a consumer with a different random number generator.  It
+refuses a statement line whose step, fixed argument or abundance label
+disagrees with the plan.  Both
 reverification and the provenance check follow bolattice.form_plan: the
 recorded labels must be exactly the plan's labels, and the plan gives
 each label its substream key and support.  When the trailer names our
@@ -122,7 +130,7 @@ def from_outcome(outcome: bolattice.VerificationOutcome, forms=None) -> Certific
         verdict=outcome.verdict,
         abundance=outcome.abundance,
         i=outcome.i,
-        nd=3,
+        nd=bolattice.STATEMENT_ND,
         t=outcome.t,
         ell=27,
         forms=list(forms),
@@ -301,8 +309,14 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
     config = bolattice.config_for(family)
     if cert.ell != config.ell:
         raise DimensionMismatch(f"statement step {cert.ell} but the {family} lattice steps by {config.ell}")
+    if cert.nd != bolattice.STATEMENT_ND:
+        raise DimensionMismatch(f"statement argument {cert.nd} but every statement fixes {bolattice.STATEMENT_ND}")
     # an unknown branch raises here, before any rebuild
     plan = None if branch is None else bolattice.plan_statement(config, cert.t, branch)
+    if plan is not None and cert.abundance != plan["abundance"]:
+        raise DimensionMismatch(
+            f"statement says {cert.abundance}ABUNDANT but the plan is {plan['abundance']}ABUNDANT"
+        )
     field = PrimeField(cert.prime)
 
     eta, mu = _point_counts(cert, family)
@@ -322,7 +336,8 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
             f"recorded shape {cert.rows} x {cert.cols} but forms rebuild {spec.rows} x {spec.cols}"
         )
     rank = rank_from_column_blocks(
-        bolattice.column_blocks(spec, field), spec.rows, cert.prime, total_cols=spec.cols
+        bolattice.column_blocks(spec, field), spec.rows, cert.prime,
+        total_cols=bolattice.kept_column_count(spec),
     )
 
     plan_consistent = expected_matches = None

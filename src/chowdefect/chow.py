@@ -5,7 +5,10 @@ has dimension dn, so the s-th secant variety is expected to have
 (projective) dimension min{s(dn+1), C(n+d,d)} - 1.  The tangent space of
 the affine cone at p = l_1 ... l_d is, by the product rule, the sum of
 the spaces (l_1 .. skip l_b .. l_d) * V over b, which gives an explicit
-column generator set of size d(n+1).
+generator set of size d(n+1).  Since sum_v c_{b,v} x_v (p / l_b) = p for
+every b, one generator per factor after the first is a combination of
+the rest, and the columns kept are exactly dn+1, the dimension of the
+tangent space at a generic point.
 
 The oracle samples s independent generic points over Z_P, stacks all
 their tangent columns and takes the rank.  By semicontinuity a rank
@@ -30,8 +33,7 @@ from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for pe
     division_map,
     monomial_count,
     mul_linear,
-    padded,
-    products_omitting_each,
+    tangent_groups,
 )
 from .gflinalg import from_columns, rank_mod_p
 from .sampling import FormSampler
@@ -87,13 +89,13 @@ def tangent_columns(point: ChowPoint, field: PrimeField) -> list[np.ndarray]:
     """Generators of the tangent space at the cone point, as coefficient vectors.
 
     For each factor position b and each variable x_v, the vector of
-    x_v * prod_{g != b} l_g; there are d(n+1) of them and their span has
-    dimension dn+1 at a generic point.
+    x_v * prod_{g != b} l_g, without the d - 1 that gfpoly.tangent_groups
+    drops as combinations of the others: dn+1 vectors, which span the
+    whole tangent space, of dimension dn+1 at a generic point.
     """
-    G = division_map(point.n, point.d - 1)
     cols = []
-    for partial in products_omitting_each(list(point.factors)):
-        cols.extend(np.take(padded(partial.coeffs), G))
+    for src, index in tangent_groups(list(point.factors), division_map(point.n, point.d - 1)):
+        cols.extend(np.take(src, index))
     return cols
 
 

@@ -15,7 +15,9 @@ its pivot block, and both clearing and pivot extraction touch only the
 rows still free.  The stored basis therefore never exceeds
 8 * (n*r - r^2/2) bytes for n rows and rank r.
 
-All bulk arithmetic runs in float64 BLAS calls on integers.  Entries are
+All bulk arithmetic runs in float64 BLAS calls on integers, and column
+blocks arrive as float64 (bolattice gathers them that way), so permuting
+a block into basis order is its only copy.  Entries are
 kept in 0..P-1 with P < 2^15 and reduction is delayed: a cleared block
 accumulates at most rank products of two reduced values, so every
 partial result stays below 2^53 where float64 is exact.  The computed
@@ -93,9 +95,10 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     products it would follow, so reduce via floor(x/p): the quotient may
     be off by one from rounding, leaving a residue in (-p, 2p), which
     the two conditional fixups repair.  Everything stays below 2^52, so
-    every intermediate is exact.
+    every intermediate is exact.  The quotient is the one temporary.
     """
-    q = np.floor(arr * (1.0 / p))
+    q = np.multiply(arr, 1.0 / p)
+    np.floor(q, out=q)
     q *= p
     arr -= q
     np.add(arr, p, out=arr, where=arr < 0)
@@ -259,7 +262,8 @@ def rank_from_column_blocks(
 ) -> int:
     """Rank over Z_P of the matrix whose columns arrive in blocks.
 
-    Blocks are (n_rows x b) arrays with entries already in 0..P-1.  Only
+    Blocks are (n_rows x b) arrays with entries already in 0..P-1,
+    best float64, which clear_block uses without a cast.  Only
     the block in hand is held, never the whole matrix, so peak memory is
     that block plus the basis on its free rows, at most
     8 * (n_rows*r - r^2/2) bytes at rank r.  Stops consuming blocks once

@@ -16,7 +16,9 @@ a gather: the division map lists, for every degree-(k+1) monomial m and
 variable x_j, the position of m / x_j in degree k (or a zero slot when
 x_j does not divide m), so f * l is one take of f through the map and
 an (n+1)-term dot product per output coefficient.  Families of products
-that each omit one factor come from a product tree built on that kernel.
+that each omit one factor come from a product tree built on that kernel,
+and tangent_groups turns them into the gather groups of the tangent
+columns that can add to the span.
 """
 
 from __future__ import annotations
@@ -195,9 +197,9 @@ def division_map(n: int, k: int) -> np.ndarray:
     return out
 
 
-def padded(coeffs: np.ndarray) -> np.ndarray:
+def padded(coeffs: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Coefficients followed by the zero that division_map's zero slot reads."""
-    out = np.empty(coeffs.size + 1, dtype=np.int64)
+    out = np.empty(coeffs.size + 1, dtype=dtype)
     out[:-1] = coeffs
     out[-1] = 0
     return out
@@ -348,6 +350,33 @@ def products_omitting_each(forms: list[LinearForm], base: HomPoly | None = None)
         yield from split(_times(acc, forms[lo:mid]), mid, hi)
 
     return split(base, 0, len(forms))
+
+
+def tangent_groups(
+    forms: list[LinearForm], G: np.ndarray, base: HomPoly | None = None, product_in_span: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The tangent columns x_v * base * prod_{g != h} forms[g] that can add
+    to their span, as gather groups (src, index): the group's columns are
+    take(src, index[r]) for each row r, where src is the padded partial
+    product in float64 and index is rows of the division map G.
+
+    With F = base * prod(forms) and c the coefficients of forms[h],
+    sum_v c_v x_v * F / forms[h] = F for every h.  So once F is in the
+    span, the column of the first variable v with c_v != 0 is a known
+    combination of the factor's other columns and F.  Factor 0 keeps all
+    n+1 columns, which span F, and every later factor drops its column v:
+    d*n + 1 columns for d forms.  With product_in_span, F already lies in
+    the span of other columns and factor 0 drops its column v as well.
+    The kept rows are basic slices of G, so no index is copied.
+    """
+    for h, partial in enumerate(products_omitting_each(forms, base)):
+        src = padded(partial.coeffs, np.float64)
+        if h == 0 and not product_in_span:
+            yield src, G
+            continue
+        v = int(np.flatnonzero(forms[h].coeffs)[0])  # a LinearForm is never zero
+        yield src, G[:v]
+        yield src, G[v + 1 :]
 
 
 def naive_product_oracle(forms: list[LinearForm]) -> HomPoly:

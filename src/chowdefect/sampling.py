@@ -131,6 +131,8 @@ class RecordedForms:
         coeffs = np.asarray(self._forms[key], dtype=np.int64)
         if coeffs.shape != (n + 1,):
             raise DimensionMismatch(f"form {key} has {coeffs.shape[0]} coefficients, want {n + 1}")
+        if not coeffs.any():
+            raise DimensionMismatch(f"form {key} is zero")
         if support is not None:
             outside = np.ones(n + 1, dtype=bool)
             outside[list(support)] = False

@@ -108,11 +108,12 @@ def test_schedule_headline_numbers():
 
 
 def test_degree_build_shapes():
+    # the stream keeps 3t+1 of the 4t generators per point
     _, m = build(QUAT, 5, "s1", 1452337571)
-    assert m.shape == (56, 60) and bo.plan_statement(QUAT, 5, "s1")["expected"] == 48
+    assert m.shape == (56, 48) and bo.plan_statement(QUAT, 5, "s1")["expected"] == 48
     assert rank_mod_p(m) == 48
     _, m2 = build(QUAT, 2, "s1", 7)  # tall: rank_mod_p eliminates the transpose
-    assert m2.shape == (10, 8) and bo.plan_statement(QUAT, 2, "s1")["expected"] == 7
+    assert m2.shape == (10, 7) and bo.plan_statement(QUAT, 2, "s1")["expected"] == 7
     assert rank_mod_p(m2) == 7
 
 
@@ -124,8 +125,9 @@ def test_degree_plan_t32():
 
 
 def test_dimension_build_shapes():
+    # the stream keeps 3t+1 of the 3t+3 generators per point
     spec, m = build(CUB, 5, "s1", 3)
-    assert m.shape == (56, 54) and bo.plan_statement(CUB, 5, "s1")["expected"] == 48
+    assert m.shape == (56, 48) and bo.plan_statement(CUB, 5, "s1")["expected"] == 48
     assert spec.row_keep is None and spec.rows == spec.rows_full == 56
     assert rank_mod_p(m) == 48
 
@@ -143,7 +145,8 @@ def test_column_count_formulas():
             for cfg in (QUAT, CUB):
                 plan = bo.plan_statement(cfg, t, branch)
                 spec, m = build(cfg, t, branch, 2)
-                assert m.cols == spec.cols == plan["cols"]
+                assert spec.cols == plan["cols"]
+                assert m.cols == bo.kept_column_count(spec)
                 assert m.rows == plan["rows"]
 
 
@@ -153,7 +156,7 @@ def test_lower_order_build():
     assert plan.order == 0 and plan.eta == CUB.s1(28)
     spec = bo.prepare_build(CUB, 28, 0, plan.eta, plan.mu, FormSampler(4, F))
     assert spec.rows == binomial(31, 3) and spec.row_keep is None
-    assert sum(b.shape[1] for b in bo.column_blocks(spec, F)) == spec.cols
+    assert sum(b.shape[1] for b in bo.column_blocks(spec, F)) == bo.kept_column_count(spec)
     expected = bo.expected_dim(CUB, 0, 28, "s1") - bo.eliminated_row_count(CUB, 28, 0)
     assert expected == min(85 * 52, binomial(31, 3))
 
@@ -283,29 +286,34 @@ def test_generated_subspace_lattice_dimension():
 
 def test_quaternary_order2_columns_match_kernel():
     # two subspace blocks (t = 55): every section of the matrix agrees with
-    # an independently computed product of linear forms
+    # an independently computed product of linear forms; the R1 columns of
+    # the two blocks alternate, and R3 starts after the 3t+1 kept R2 columns
     from chowdefect.gfpoly import LinearForm, product_of_linear_forms
 
     spec = bo.prepare_build(QUAT, 55, 2, 1, 1, FormSampler(99, F))
     assert spec.cols == 2 * 4495 + 55 * 4 + 2 * 27 * 4
-    wanted = {0: None, 4495: None, 2 * 4495: None, 2 * 4495 + 220: None}
+    assert bo.kept_column_count(spec) == 2 * 4495 + 166 + 2 * 81
+    wanted = {0: None, 1: None, 2 * 4495: None, 2 * 4495 + 166: None}
     at = 0
     for b in bo.column_blocks(spec, F):
         for idx in wanted:
             if at <= idx < at + b.shape[1]:
                 wanted[idx] = b[:, idx - at].copy()
         at += b.shape[1]
-    assert at == spec.cols
+    assert at == bo.kept_column_count(spec)
     keyed = spec.keyed
     g0 = [LinearForm(3, keyed[("g", 0, 0, k)], F) for k in range(27)]
     g1 = [LinearForm(3, keyed[("g", 0, 1, k)], F) for k in range(27)]
     ls = [LinearForm(3, keyed[("l", 0, 0, k)], F) for k in range(55)]
     fs = [LinearForm(3, keyed[("f", 0, 0, k)], F) for k in range(28)]
     x0 = LinearForm.variable(0, 3, F)
+    # a subspace point drops the column of g_{0,0}'s first variable
+    first = 1 if g0[0].coeffs[0] else 0
+    x_first = LinearForm.variable(first, 3, F)
     assert np.array_equal(wanted[0], product_of_linear_forms(g0 + [x0] * 28).coeffs)
-    assert np.array_equal(wanted[4495], product_of_linear_forms(g1 + [x0] * 28).coeffs)
+    assert np.array_equal(wanted[1], product_of_linear_forms(g1 + [x0] * 28).coeffs)
     assert np.array_equal(wanted[2 * 4495], product_of_linear_forms(ls[1:] + [x0]).coeffs)
-    assert np.array_equal(wanted[2 * 4495 + 220], product_of_linear_forms(fs + g0[1:] + [x0]).coeffs)
+    assert np.array_equal(wanted[2 * 4495 + 166], product_of_linear_forms(fs + g0[1:] + [x_first]).coeffs)
 
 
 def test_cubics_top_order_structure():
@@ -399,20 +407,19 @@ def test_column_blocks_any_width_stack_to_one_matrix():
             for b, copy in held:
                 assert np.array_equal(b, copy)
             stacked = np.hstack([b for b, _ in held])
-            assert stacked.shape == (spec.rows, spec.cols)
+            assert stacked.shape == (spec.rows, bo.kept_column_count(spec))
             if want is None:
                 want = stacked
             assert np.array_equal(stacked, want)
 
 
-def test_column_count_mismatch_is_loud():
-    import dataclasses
-
+def test_column_count_mismatch_is_loud(monkeypatch):
     spec = small_specs()[0]
-    for wrong in (spec.cols - 1, spec.cols + 1):
-        bad = dataclasses.replace(spec, cols=wrong)
+    kept = bo.kept_column_count(spec)
+    for wrong in (kept - 1, kept + 1):
+        monkeypatch.setattr(bo, "kept_column_count", lambda spec: wrong)
         with pytest.raises(AssertionError, match="columns"):
-            for _ in bo.column_blocks(bad, F):
+            for _ in bo.column_blocks(spec, F):
                 pass
 
 
@@ -551,3 +558,12 @@ def test_pruned_and_full_generators_have_equal_rank():
         assert len(pruned) < len(full)
         whole = rank_mod_p(from_columns([col for _, _, col in full], F.modulus, rows=spec.rows))
         assert rank_mod_p(from_columns(pruned, F.modulus, rows=spec.rows)) == whole
+
+
+def test_column_blocks_stream_is_the_kept_generators():
+    # the stream is the full generator set minus the dropped columns, in order
+    for spec in pruning_specs():
+        kept = [col for kind, key, col in full_generator_columns(spec) if not dropped(spec, kind, key)]
+        stream = np.hstack(list(bo.column_blocks(spec, F, 7)))
+        assert stream.dtype == np.float64
+        assert np.array_equal(stream, np.column_stack(kept))

@@ -262,3 +262,23 @@ def test_unknown_family_or_branch_refused(line, bad):
 def test_unknown_passed_branch_refused():
     with pytest.raises(ValueError, match="s9"):
         cert.reverify(cert.parse(EXTERNAL_CERT), branch="s9")
+
+
+@pytest.mark.parametrize("statement", [
+    "T_0(7, 5, 27) is TRUE (SUPERABUNDANT)",
+    "T_0(7, 5, 27) is TRUE (SUBABUNDANT)",
+    "T_0(3, 5, 27) is TRUE (SUPERABUNDANT)",
+], ids=["both", "argument", "abundance"])
+def test_edited_statement_line_rejected(statement):
+    text = EXTERNAL_CERT.replace("T_0(3, 5, 27) is TRUE (SUBABUNDANT)", statement)
+    assert statement in text
+    with pytest.raises(DimensionMismatch, match="statement"):
+        cert.reverify(cert.parse(text), branch="s1")
+
+
+def test_zero_recorded_form_rejected():
+    # a tampered zero factor must be refused, not pruned or crash the build
+    text = EXTERNAL_CERT.replace("l_{1,2} = [4744 1652 3436  940]", "l_{1,2} = [   0    0    0    0]")
+    assert "[   0    0    0    0]" in text
+    with pytest.raises(DimensionMismatch, match="zero"):
+        cert.reverify(cert.parse(text), branch="s1")

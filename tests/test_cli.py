@@ -172,6 +172,23 @@ def test_reverify_refuses_unknown_family(tmp_path, capsys, monkeypatch):
     assert "bogus" in err
 
 
+def test_reverify_internal_error_exits_1(tmp_path, capsys, monkeypatch):
+    # only a broken certificate contract is a mismatch; a bug in the rebuild is not
+    import chowdefect.certificate as cert
+
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "verify", "--family", "quaternary", "--t", "4", "--branch", "s1", "--seed", "8")
+    path = tmp_path / "certificates" / "quaternary_t004_s1.cert"
+
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cert, "reverify", broken)
+    code, _, err = run(capsys, "reverify", str(path))
+    assert code == 1
+    assert "TypeError" in err and "rebuild mismatch" not in err
+
+
 def test_selfcheck_quick(capsys):
     code, out, _ = run(capsys, "selfcheck", "--quick")
     assert code == 0

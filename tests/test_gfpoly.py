@@ -267,7 +267,9 @@ def test_property_mul_linear_matches_oracle(case):
 
 def prefix_fold_tangent_columns(point, field):
     """x_v * prod_{g != b} l_g for b, then v, with shared prefixes and the
-    suffix folded per b; each column multiplies by x_v instead of scattering."""
+    suffix folded per b; each column multiplies by x_v instead of scattering.
+    Every factor after the first skips x_v for its first variable with a
+    nonzero coefficient, the column that is a combination of the others."""
     n, d = point.n, point.d
     prefixes = [HomPoly.one(n, field)]
     for f in point.factors[:-1]:
@@ -277,8 +279,10 @@ def prefix_fold_tangent_columns(point, field):
         partial = prefixes[b]
         for g in range(b + 1, d):
             partial = mul_linear(partial, point.factors[g])
+        skip = int(np.flatnonzero(point.factors[b].coeffs)[0]) if b else None
         for v in range(n + 1):
-            cols.append(mul_linear(partial, LinearForm.variable(v, n, field)).coeffs)
+            if v != skip:
+                cols.append(mul_linear(partial, LinearForm.variable(v, n, field)).coeffs)
     return cols
 
 
@@ -291,6 +295,6 @@ def test_property_tangent_columns_match_prefix_fold(case):
     point = ChowPoint(tuple(forms))
     got = tangent_columns(point, field)
     want = prefix_fold_tangent_columns(point, field)
-    assert len(got) == len(want) == point.d * (point.n + 1)
+    assert len(got) == len(want) == point.d * point.n + 1
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
