@@ -201,15 +201,11 @@ def point_plan(config: LatticeConfig, t: int, branch: str, i: int | None = None)
 # them straight into the block buffer.  For tangent columns src is a
 # padded partial product and index holds division-map rows, one per x_v.
 # Sources are float64, the dtype the rank engine computes in; every entry
-# is below P < 2^15, so the gather is exact.
-#
-# The stream holds only the generators that can add to the span
-# (gfpoly.tangent_groups): 3t+1 = m(t) columns per generic point instead of
-# 4t (quaternary) or 3t+3 (cubics), and 3*ell = m(t) - m(t-ell) per
-# quaternary point inside subspace j, whose product already lies in the
-# R1 span G_j * S_{t-ell}.  The dropped columns are exact combinations of
-# kept ones, so the rank is the rank of the full generator set, whose
-# shape (column_count) the certificate records.
+# is below P < 2^15, so the gather is exact.  The groups hold only the
+# generators that can add to the span (gfpoly.tangent_groups): the dropped
+# ones are exact combinations of kept ones, so the stream has the rank of
+# the full generator set, whose shape (column_count) the certificate
+# records.
 
 
 @dataclass

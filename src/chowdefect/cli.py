@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bolattice, certificate
 from .chow import DomainError, SecantProblem, chow_quadric_dim, expdim_secant, terracini_rank
 from .finite_calculus import NonIntegralValue, newton_reconstruct
-from .gfpoly import BudgetExceeded, DimensionMismatch, PrimeField
+from .gfpoly import BudgetExceeded, PrimeField
 
 SUMMARY_HEADER = "family\tt\ti\tbranch\trows\tcols\trank\texpected\tabundance\tverdict\tconstruct_s\trank_s\tseed"
 SCHEDULE_HEADER = "family\tt\ti\tbranch\tpoints\teta\tmu\trows\tcols\texpected\tabundance\tbasis_mb"
@@ -203,8 +203,9 @@ def cmd_reverify(args) -> int:
         return 1
     try:
         report = certificate.reverify(cert, family=args.family, branch=args.branch)
-    except (DimensionMismatch, ValueError) as exc:
-        # the certificate breaks the contract; any other exception is ours
+    except ValueError as exc:
+        # DimensionMismatch and the refusals of reverify: the certificate breaks
+        # its contract.  Any other exception is an error of this program.
         print(f"rebuild mismatch: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

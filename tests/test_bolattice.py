@@ -436,7 +436,7 @@ def full_generator_columns(spec):
     ("T", (point, h, v), x_v * F / l_h) with point = ("generic", pt) or
     ("sub", j, pt).  Cubic subspace points carry only their block's variables.
     """
-    from chowdefect.gfpoly import (HomPoly, LinearForm, monomial_exponents, mul_linear,
+    from chowdefect.gfpoly import (LinearForm, monomial_exponents, mul_linear,
                                    product_of_linear_forms, products_omitting_each)
 
     n, t, ell, keyed = spec.n, spec.t, spec.ell, spec.keyed
@@ -521,6 +521,8 @@ def test_dropped_columns_are_exact_combinations_of_kept_ones():
     # x_v F/l_h = c_{h,v}^{-1} (F - sum_{u != v} c_{h,u} x_u F/l_h), with F
     # from the kept factor-0 columns of a generic point, or from the R1
     # columns G_j x^a of a subspace point (F = base * G_j); checked mod P
+    from chowdefect.gfpoly import LinearForm, monomial_exponents, product_of_linear_forms
+
     p = F.modulus
     for spec in pruning_specs():
         cols = {(kind, key): col for kind, key, col in full_generator_columns(spec)}
@@ -534,7 +536,6 @@ def test_dropped_columns_are_exact_combinations_of_kept_ones():
                 c0 = point_factor(spec, point, 0)
                 F_col = sum(int(c0[u]) * cols[("T", (point, 0, u))] for u in range(spec.n + 1))
             else:
-                from chowdefect.gfpoly import LinearForm, monomial_exponents, product_of_linear_forms
                 j, pt = point[1], point[2]
                 base = product_of_linear_forms([
                     LinearForm(spec.n, spec.keyed[("f", pt, j, k)], F) for k in range(spec.t - spec.ell)
