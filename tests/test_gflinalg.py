@@ -223,3 +223,74 @@ def test_property_deficiency_inside_one_block(p, rows, new, seed):
     assert rank_of(A, p) == want
     blocks = iter([base.astype(np.float64), second.astype(np.float64)])
     assert rank_from_column_blocks(blocks, rows, p) == want
+
+
+# ---------------------------------------------------------------------------
+# tall blocks: many more free rows than columns, with the independent
+# directions kept in a few rows that a sparse sample of the rows would miss
+
+TALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def hidden_rows(rng, p, rows, c, h):
+    """A rows x c matrix that is zero except on h random rows: rank min(h, c),
+    carried by rows at no particular spacing."""
+    A = np.zeros((rows, c), dtype=np.int64)
+    A[rng.choice(rows, h, replace=False)] = rng.integers(0, p, (h, c))
+    return A
+
+
+@st.composite
+def tall_matrices(draw):
+    """(p, A): rows 100..1200 and at most 130 columns, of one of four kinds."""
+    p = draw(st.sampled_from(PRIMES))
+    rows = draw(st.integers(100, 1200))
+    c = draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("hidden", "sparse", "low_over_full", "hidden_plus_dense")))
+    if kind == "hidden":
+        A = hidden_rows(rng, p, rows, c, draw(st.integers(1, 12)))
+    elif kind == "sparse":
+        density = draw(st.sampled_from((0.001, 0.003, 0.01)))
+        A = np.where(rng.random((rows, c)) < density, rng.integers(1, p, (rows, c)), 0)
+    elif kind == "low_over_full":
+        # a dense low-rank block over a few full-rank rows
+        f, k = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+        low = (rng.integers(0, p, (rows - f, k)) @ rng.integers(0, p, (k, c))) % p
+        A = np.vstack([low, rng.integers(0, p, (f, c))])
+    else:
+        k = draw(st.integers(1, 6))
+        dense = (rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, c))) % p
+        A = (dense + hidden_rows(rng, p, rows, c, draw(st.integers(1, 8)))) % p
+    return p, A
+
+
+def stream_rank(A, p, widths):
+    """rank_from_column_blocks over A cut into blocks of the given widths, cycled."""
+    blocks, at, i = [], 0, 0
+    while at < A.shape[1]:
+        w = widths[i % len(widths)]
+        blocks.append(A[:, at : at + w].astype(np.float64))
+        at, i = at + w, i + 1
+    return rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1])
+
+
+@TALL
+@given(tall_matrices(), st.lists(st.integers(1, 64), min_size=1, max_size=4))
+def test_property_tall_blocks_match_reference(case, widths):
+    p, A = case
+    assert stream_rank(A, p, widths) == reference_rank(A.T, p)
+
+
+def test_tall_block_with_directions_off_a_row_sample():
+    """Each column of the second block is a combination of the first block
+    plus one entry on its own row; the rows are random, so most of them lie
+    away from any fixed sample of 48 rows out of 1000."""
+    p, rows = 32749, 1000
+    rng = np.random.default_rng(11)
+    first = rng.integers(0, p, (rows, 16))
+    second = (first @ rng.integers(0, p, (16, 16))) % p
+    second[rng.choice(rows, 16, replace=False), np.arange(16)] += rng.integers(1, p, 16)
+    second %= p
+    A = np.hstack([first, second, hidden_rows(rng, p, rows, 16, 5)])
+    assert stream_rank(A, p, [16]) == reference_rank(A.T, p) == 37
