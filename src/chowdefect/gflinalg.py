@@ -15,12 +15,33 @@ its pivot block, and both clearing and pivot extraction touch only the
 rows still free.  The stored basis therefore never exceeds
 8 * (n*r - r^2/2) bytes for n rows and rank r.
 
-All bulk arithmetic runs in float64 BLAS calls on integers, and column
-blocks arrive as float64 (bolattice gathers them that way), so permuting
-a block into basis order is its only copy.  Entries are
-kept in 0..P-1 with P < 2^15 and reduction is delayed: a cleared block
-accumulates at most rank products of two reduced values, so every
-partial result stays below 2^53 where float64 is exact.  The computed
+Pivots of a tall block are sought on a sample of its rows.  When the
+cleared block F has m free rows and b < m/3 columns, s = b + 32 rows
+at evenly spaced positions are stacked over the b x b identity and
+Jordan-normalized, with pivots allowed only in the s sample rows (the
+leaf's pivot search reads only a row prefix, whose length is passed
+down the recursion).  The identity rows
+then hold W, the combination of F's columns whose Jordan form they
+are, and the new generation is F @ W on all free rows: one product in
+place of a full-height elimination.  The rank stays exact:
+
+- columns independent on the sample rows are independent on all rows,
+  so the g pivots found are pivots of the block;
+- if g = b the block has full column rank and F @ W spans it;
+- if g < b, the residual F - (F @ W) F[pivot rows] is F cleared against
+  the new generation.  If it is zero, F lies in the span; if not, the
+  sample missed directions, and the residual is eliminated at full
+  height as one more generation.
+
+The sample decides only how fast the rank is found, never its value.
+
+All bulk arithmetic runs in float64 BLAS calls on integers.  Column
+blocks arrive as float64 (bolattice gathers them that way) or as int16
+(DenseMatrix), and permuting a block into basis order, in float64, is
+its only copy.  Entries are kept in 0..P-1 with P < 2^15 and reduction
+is delayed: a cleared block accumulates at most rank products of two
+reduced values, and the sampled products have inner dimension b < m,
+so every partial result stays below 2^53 where float64 is exact.  The computed
 rank is therefore the exact rank over Z_P, independent of BLAS
 threading or scheduling.
 """
@@ -60,8 +81,11 @@ class DenseMatrix:
 
 
 def _as_int16(block: np.ndarray, modulus: int) -> np.ndarray:
-    b = np.asarray(block, dtype=np.int64) % modulus
-    return b.astype(np.int16)
+    """block reduced into 0..modulus-1 as int16; int16 input already in range is returned as is."""
+    b = np.asarray(block)
+    if b.dtype == np.int16 and (b.size == 0 or (b.min() >= 0 and b.max() < modulus)):
+        return b
+    return (b.astype(np.int64) % modulus).astype(np.int16)
 
 
 def from_columns(columns: Iterable[np.ndarray], modulus: int, rows: int | None = None) -> DenseMatrix:
@@ -77,15 +101,16 @@ def from_columns(columns: Iterable[np.ndarray], modulus: int, rows: int | None =
     nrows = cols[0].shape[0]
     if rows is not None and rows != nrows:
         raise DimensionMismatch(f"declared {rows} rows but columns have {nrows}")
-    data = np.empty((nrows, len(cols)), dtype=np.int16, order="F")
     for j, c in enumerate(cols):
         if c.shape != (nrows,):
             raise DimensionMismatch(f"column {j} has shape {c.shape}, want ({nrows},)")
-        data[:, j] = _as_int16(c, modulus)
-    return DenseMatrix(nrows, len(cols), data, modulus)
+    # one row per column, so the transpose is the F-order matrix
+    return DenseMatrix(nrows, len(cols), _as_int16(np.stack(cols), modulus).T, modulus)
 
 
 _LEAF_WIDTH = 48  # below this, column-at-a-time elimination beats matmuls
+_SAMPLE_EXTRA = 32  # a tall block of width b seeks its pivots on b + 32 of its rows
+_CLEAR_ROWS = 1024  # clearing products run over this many rows at a time
 
 
 def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
@@ -96,6 +121,10 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     be off by one from rounding, leaving a residue in (-p, 2p), which
     the two conditional fixups repair.  Everything stays below 2^52, so
     every intermediate is exact.  The quotient is the one temporary.
+    Its six calls cost about 10 us whatever the size, so `%` is the
+    faster choice below a few hundred entries (5x at 48, the length of
+    the leaf's pivot-row vectors); from about 600 entries on this wins,
+    4x at 4495, the height of a block at t=28.
     """
     q = np.multiply(arr, 1.0 / p)
     np.floor(q, out=q)
@@ -106,13 +135,17 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     return arr
 
 
-def _extract_leaf(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None, list[int]]:
+def _extract_leaf(
+    B: np.ndarray, p: int, cap: int, head: int | None = None
+) -> tuple[np.ndarray | None, list[int]]:
     """Unblocked left-looking elimination on a narrow cleared block.
 
     Each column is cleared against the pivots found so far with two
     matrix-vector products, through X, the running inverse of the pivot
     columns restricted to their pivot rows (lower triangular).  The
-    columns are kept unnormalized; C @ X is their Jordan form.
+    columns are kept unnormalized; C @ X is their Jordan form.  Pivots
+    are taken only in the first `head` rows, if given: a column that is
+    zero there once cleared counts as dependent.
     """
     cols = np.array(B.T)  # one contiguous row per column of B
     C = np.empty((B.shape[0], min(cols.shape[0], cap)), dtype=np.float64, order="F")
@@ -121,15 +154,15 @@ def _extract_leaf(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None, l
     for col in cols:
         k = len(rows)
         if k:
-            col -= C[:, :k] @ _reduce_mod(X[:k, :k] @ col[rows], p)
+            col -= C[:, :k] @ (X[:k, :k] @ col[rows] % p)
         _reduce_mod(col, p)
-        nz = np.flatnonzero(col)
+        nz = np.flatnonzero(col[:head])
         if nz.size == 0:
             continue
         row = int(nz[0])
         inv = pow(int(col[row]), p - 2, p)
         C[:, k] = col
-        X[k, :k] = _reduce_mod(_reduce_mod(-(C[row, :k] @ X[:k, :k]), p) * inv, p)
+        X[k, :k] = -(C[row, :k] @ X[:k, :k]) % p * inv % p
         X[k, k] = inv
         rows.append(row)
         if k + 1 == cap:
@@ -140,21 +173,27 @@ def _extract_leaf(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None, l
     return _reduce_mod(C[:, :k] @ X[:k, :k], p), rows
 
 
-def _extract_jordan(B: np.ndarray, p: int, cap: int) -> tuple[np.ndarray | None, list[int]]:
+def _extract_jordan(
+    B: np.ndarray, p: int, cap: int, head: int | None = None
+) -> tuple[np.ndarray | None, list[int]]:
     """Jordan-normalized independent columns of a cleared, reduced block.
 
     Wide blocks recurse through a temporary generation basis so almost
     all work lands in matrix products; the returned columns are an exact
-    identity on their own pivot rows.
+    identity on their own pivot rows.  `head` restricts the pivot rows
+    as in _extract_leaf.  Pivot moves only touch rows up to the last
+    pivot row, so the rows past `head` keep their places, and in each
+    temporary basis the allowed rows are the first head - rank free ones.
     """
     if B.shape[1] == 0 or cap <= 0:
         return None, []
     if B.shape[1] <= _LEAF_WIDTH:
-        return _extract_leaf(B, p, cap)
+        return _extract_leaf(B, p, cap, head)
     temp = _GenerationBasis(B.shape[0], p, limit=cap)
     step = max(_LEAF_WIDTH, (B.shape[1] + 3) // 4)
     for a in range(0, B.shape[1], step):
-        temp.absorb(temp.clear_block(B[:, a : a + step]))
+        F = temp.clear_block(B[:, a : a + step])
+        temp.store(*_extract_jordan(F, p, cap - temp.rank, None if head is None else head - temp.rank))
         if temp.rank == cap:
             break
     g = temp.rank
@@ -225,32 +264,90 @@ class _GenerationBasis:
 
         B is (length x b) in input row order and is left untouched; the
         result is a new (length - rank) x b float64 array in basis order.
+        Permuting B into basis order is its one copy: a float64 B is
+        gathered, any other dtype is scattered through the inverse
+        permutation, which casts on the way.  Each generation's product
+        runs in row chunks, so its temporary is a chunk, not a block:
+        the largest generation's full-height temporary would otherwise
+        sit on top of the whole basis at the end of a rank.
         """
         p = self.p
-        if self.rank:
-            Bp = np.asarray(B[self.perm], dtype=np.float64)
+        if B.dtype != np.float64:
+            Bp = np.empty(B.shape, dtype=np.float64)
+            Bp[np.argsort(self.perm)] = B
+        elif self.rank:
+            Bp = B[self.perm]
         else:
-            Bp = np.array(B, dtype=np.float64, order="C")
+            Bp = np.array(B, order="C")
         for start, end, T in self.generations:
             U = _reduce_mod(Bp[start:end].copy(), p)
-            Bp[end:] -= T @ U
+            for a in range(0, T.shape[0], _CLEAR_ROWS):
+                Bp[end + a : end + a + _CLEAR_ROWS] -= T[a : a + _CLEAR_ROWS] @ U
         return _reduce_mod(Bp[self.rank :], p)
 
-    def absorb(self, F: np.ndarray) -> int:
-        """Extract new pivots from the output of clear_block; returns how many."""
-        Cj, rows = _extract_jordan(F, self.p, self.limit - self.rank)
+    def store(self, Cj: np.ndarray | None, rows: list[int]) -> int:
+        """Freeze Jordan columns on the free rows as the next generation.
+
+        Cj is (length - rank) x g in basis order and the identity on its
+        pivot rows `rows`; those rows move to the front of the free
+        suffix.  Cj is consumed.  Returns g.
+        """
         if not rows:
             return 0
         g = len(rows)
+        self._move_to_front(rows, Cj)
+        self._append(g, Cj[g:].copy())
+        return g
+
+    def absorb(self, F: np.ndarray) -> int:
+        """Extract new pivots from the output of clear_block; returns how many.
+
+        A block with more than three free rows per column seeks its
+        pivots on b + 32 evenly spaced rows of the m free rows: W, the
+        combination of F's columns that is Jordan on the sample, comes
+        from the sample stacked over the identity, and F @ W is the new
+        generation at full height.  When fewer than b pivots turn up,
+        the part of F outside that generation's span is absorbed at full
+        height (see the module docstring).  F is consumed.
+        """
+        m, b = F.shape
+        if m <= 3 * b:
+            return self.store(*_extract_jordan(F, self.p, self.limit - self.rank))
+        p = self.p
+        s = b + _SAMPLE_EXTRA
+        sample = np.arange(s) * m // s
+        stack = np.empty((s + b, b), dtype=np.float64)
+        stack[:s] = F[sample]
+        stack[s:] = np.eye(b)
+        Cs, rows = _extract_jordan(stack, p, self.limit - self.rank, s)
+        g = len(rows)
+        if g:
+            self._move_to_front(sample[rows].tolist(), F)
+            T = _reduce_mod(F[g:] @ Cs[s:], p)
+            self._append(g, T)
+            if g == b:
+                return g
+            # what the sample missed: the rest of F cleared against T
+            F[g:] -= T @ F[:g]
+            F = _reduce_mod(F[g:], p)
+        if not F.any():
+            return g
+        return g + self.store(*_extract_jordan(F, p, self.limit - self.rank))
+
+    def _move_to_front(self, rows: list[int], F: np.ndarray) -> None:
+        """Bring free rows `rows` (offsets into the free suffix) to its front:
+        in perm, in every stored generation and in F, an array on the free rows."""
         r = self.rank
         dest, src = _pivot_moves(rows)
         self.perm[r + dest] = self.perm[r + src]
         for _, end, T in self.generations:
             T[r - end + dest] = T[r - end + src]
-        Cj[dest] = Cj[src]
-        self.generations.append((r, r + g, Cj[g:].copy()))
+        F[dest] = F[src]
+
+    def _append(self, g: int, T: np.ndarray) -> None:
+        """A new generation of g columns, T being its rows below its pivot block."""
+        self.generations.append((self.rank, self.rank + g, T))
         self.rank += g
-        return g
 
 
 def rank_from_column_blocks(

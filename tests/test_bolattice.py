@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +371,35 @@ def test_basis_storage_within_plan(monkeypatch):
         stored = sum(T.nbytes for _, _, T in outer.generations)
         assert 0 < stored <= bound
 
+
+
+PEAK_RSS_SCRIPT = """
+import json, resource
+from chowdefect import bolattice as bo
+from chowdefect.gfpoly import PrimeField
+cfg = bo.config_for(bo.QUATERNARY)
+bound = bo.plan_statement(cfg, 28, "s2")["basis_bytes"]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+out = bo.verify_statement(cfg, 28, "s2", seed=20260809, field=PrimeField(8191), retries=0)
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+print(json.dumps({"verdict": out.verdict, "ratio": grown / bound}))
+"""
+
+
+def test_peak_rss_within_twice_the_plan():
+    """Quaternary t=28 s2, verified in a fresh process so that earlier tests
+    do not set the high-water mark, grows the peak RSS (ru_maxrss, KiB on
+    Linux) by at most twice the planned basis_bytes: the basis plus the
+    block in hand, the clearing temporaries and the column caches."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["verdict"] == "TRUE"
+    assert result["ratio"] <= 2.0, result
 
 def test_streaming_charges_column_pulls_to_construction(monkeypatch):
     blocks = bo.column_blocks

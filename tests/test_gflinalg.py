@@ -294,3 +294,16 @@ def test_tall_block_with_directions_off_a_row_sample():
     second %= p
     A = np.hstack([first, second, hidden_rows(rng, p, rows, 16, 5)])
     assert stream_rank(A, p, [16]) == reference_rank(A.T, p) == 37
+
+
+def test_wide_tall_blocks_with_directions_off_a_row_sample():
+    """Blocks wider than the leaf, so the sampled pivot search recurses with
+    its row mask: a dense rank-6 block, then one whose 9 directions sit on
+    random rows, then a mix of both with one more dense direction."""
+    p, rows = 8191, 900
+    rng = np.random.default_rng(12)
+    dense = (rng.integers(0, p, (rows, 6)) @ rng.integers(0, p, (6, 100))) % p
+    hidden = hidden_rows(rng, p, rows, 100, 9)
+    mix = (dense[:, :50] + hidden[:, 50:] + np.outer(rng.integers(0, p, rows), rng.integers(0, p, 50))) % p
+    A = np.hstack([dense, hidden, mix])
+    assert stream_rank(A, p, [100]) == reference_rank(A.T, p) == 16
