@@ -372,7 +372,6 @@ def test_basis_storage_within_plan(monkeypatch):
         assert 0 < stored <= bound
 
 
-
 PEAK_RSS_SCRIPT = """
 import json, resource
 from chowdefect import bolattice as bo
@@ -400,6 +399,7 @@ def test_peak_rss_within_twice_the_plan():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["verdict"] == "TRUE"
     assert result["ratio"] <= 2.0, result
+
 
 def test_streaming_charges_column_pulls_to_construction(monkeypatch):
     blocks = bo.column_blocks

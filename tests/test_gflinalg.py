@@ -168,6 +168,16 @@ def rank_of(A, p, block=DEFAULT_BLOCK):
     return rank_mod_p(from_columns(list(A.T), p, rows=A.shape[0]), block=block)
 
 
+def stream_rank(A, p, widths):
+    """rank_from_column_blocks over A cut into blocks of the given widths, cycled."""
+    blocks, at, i = [], 0, 0
+    while at < A.shape[1]:
+        w = widths[i % len(widths)]
+        blocks.append(A[:, at : at + w].astype(np.float64))
+        at, i = at + w, i + 1
+    return rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1])
+
+
 @PROPERTY
 @given(adversarial_matrices(), st.sampled_from((7, _LEAF_WIDTH, _LEAF_WIDTH + 1, DEFAULT_BLOCK)))
 def test_property_rank_mod_p_matches_reference(case, block):
@@ -180,13 +190,7 @@ def test_property_rank_mod_p_matches_reference(case, block):
 def test_property_streaming_matches_reference(case, widths):
     """Uneven block widths, cycled, as a streaming builder may deliver them."""
     p, A = case
-    blocks, at, i = [], 0, 0
-    while at < A.shape[1]:
-        w = widths[i % len(widths)]
-        blocks.append(A[:, at : at + w].astype(np.float64))
-        at, i = at + w, i + 1
-    want = reference_rank(A, p)
-    assert rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1]) == want
+    assert stream_rank(A, p, widths) == reference_rank(A, p)
 
 
 @PROPERTY
@@ -265,16 +269,6 @@ def tall_matrices(draw):
     return p, A
 
 
-def stream_rank(A, p, widths):
-    """rank_from_column_blocks over A cut into blocks of the given widths, cycled."""
-    blocks, at, i = [], 0, 0
-    while at < A.shape[1]:
-        w = widths[i % len(widths)]
-        blocks.append(A[:, at : at + w].astype(np.float64))
-        at, i = at + w, i + 1
-    return rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1])
-
-
 @TALL
 @given(tall_matrices(), st.lists(st.integers(1, 64), min_size=1, max_size=4))
 def test_property_tall_blocks_match_reference(case, widths):
@@ -298,7 +292,7 @@ def test_tall_block_with_directions_off_a_row_sample():
 
 def test_wide_tall_blocks_with_directions_off_a_row_sample():
     """Blocks wider than the leaf, so the sampled pivot search recurses with
-    its row mask: a dense rank-6 block, then one whose 9 directions sit on
+    its row restriction: a dense rank-6 block, then one whose 9 directions sit on
     random rows, then a mix of both with one more dense direction."""
     p, rows = 8191, 900
     rng = np.random.default_rng(12)
