@@ -30,7 +30,7 @@ from .gfpoly import (
     naive_product_oracle,
     product_of_linear_forms,
 )
-from .gflinalg import DenseMatrix, from_columns, rank_mod_p
+from .gflinalg import rank_from_column_blocks
 from .chow import (
     ChowPoint,
     DomainError,

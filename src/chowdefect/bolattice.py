@@ -57,7 +57,7 @@ from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for pe
     products_omitting_each,
     tangent_groups,
 )
-from .gflinalg import DEFAULT_BLOCK, ProgressHook, rank_from_column_blocks
+from .gflinalg import DEFAULT_BLOCK, ProgressHook, basis_bytes, rank_from_column_blocks
 from .sampling import FormSampler, derive_retry_seed
 
 QUATERNARY = "quaternary"
@@ -466,8 +466,6 @@ def plan_statement(config: LatticeConfig, t: int, branch: str):
     eliminated = eliminated_row_count(config, t, i) if config.family == CUBICS else 0
     rows = config.N(t) - eliminated
     cols = column_count(config, t, i, plan.eta, plan.mu)
-    # the free-row basis stores at most rows*r - r^2/2 float64 entries at rank r
-    r = min(rows, cols)
     return {
         "family": config.family,
         "t": t,
@@ -480,7 +478,7 @@ def plan_statement(config: LatticeConfig, t: int, branch: str):
         "cols": cols,
         "expected": expected_dim(config, i, t, branch) - eliminated,
         "abundance": abundance(config, i, t, branch),
-        "basis_bytes": 8 * (rows * r - r * r // 2),
+        "basis_bytes": basis_bytes(rows, cols),
     }
 
 

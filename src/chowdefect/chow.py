@@ -10,8 +10,13 @@ every b, one generator per factor after the first is a combination of
 the rest, and the columns kept are exactly dn+1, the dimension of the
 tangent space at a generic point.
 
-The oracle samples s independent generic points over Z_P, stacks all
-their tangent columns and takes the rank.  By semicontinuity a rank
+The oracle samples s independent generic points over Z_P and takes the
+rank of all their tangent columns, streamed into
+gflinalg.rank_from_column_blocks one point's block at a time, so that
+only the block in hand and the rank's basis are held.  A tall case, with
+more rows than the s(dn+1) columns, is the exception: its blocks are
+stacked and the transpose is ranked, whose basis vectors are s(dn+1)
+entries long instead of C(n+d,d).  By semicontinuity a rank
 equal to the expected affine dimension certifies nondefectivity, while a
 smaller rank proves nothing (small field or unlucky points), so it is
 only ever reported as inconclusive evidence unless the case is one of
@@ -35,10 +40,10 @@ from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for pe
     mul_linear,
     tangent_groups,
 )
-from .gflinalg import from_columns, rank_mod_p
+from . import gflinalg  # called through the module, where perfbench patches it
 from .sampling import FormSampler
 
-_ORACLE_AMBIENT_CAP = 10**5  # keeps oracle matrices around desk scale
+_ORACLE_BYTES_CAP = 2**30  # keeps the oracle at desk scale
 
 
 class DomainError(ValueError):
@@ -85,18 +90,18 @@ def expdim_secant(p: SecantProblem) -> int:
     return min(p.s * (p.d * p.n + 1), binomial(p.n + p.d, p.d)) - 1
 
 
-def tangent_columns(point: ChowPoint, field: PrimeField) -> list[np.ndarray]:
-    """Generators of the tangent space at the cone point, as coefficient vectors.
+def tangent_columns(point: ChowPoint, field: PrimeField) -> np.ndarray:
+    """Generators of the tangent space at the cone point, as the columns of
+    one F-order float64 block.
 
-    For each factor position b and each variable x_v, the vector of
-    x_v * prod_{g != b} l_g, without the d - 1 that gfpoly.tangent_groups
-    drops as combinations of the others: dn+1 vectors, which span the
-    whole tangent space, of dimension dn+1 at a generic point.
+    For each factor position b and each variable x_v, the coefficient
+    vector of x_v * prod_{g != b} l_g, without the d - 1 that
+    gfpoly.tangent_groups drops as combinations of the others: dn+1
+    columns, which span the whole tangent space, of dimension dn+1 at a
+    generic point.
     """
-    cols = []
-    for src, index in tangent_groups(list(point.factors), division_map(point.n, point.d - 1)):
-        cols.extend(np.take(src, index))
-    return cols
+    groups = tangent_groups(list(point.factors), division_map(point.n, point.d - 1))
+    return np.vstack([np.take(src, index) for src, index in groups]).T
 
 
 def sample_point(sampler: FormSampler, d: int, n: int, index: int) -> ChowPoint:
@@ -109,17 +114,30 @@ def sample_point(sampler: FormSampler, d: int, n: int, index: int) -> ChowPoint:
 
 
 def terracini_rank(problem: SecantProblem, seed: int, field: PrimeField) -> int:
-    """Rank of the stacked tangent columns at s seeded generic points."""
-    ambient = monomial_count(problem.n, problem.d)
-    if ambient > _ORACLE_AMBIENT_CAP:
-        raise BudgetExceeded(f"ambient dimension {ambient} exceeds oracle cap {_ORACLE_AMBIENT_CAP}")
+    """Rank of the stacked tangent columns at s seeded generic points.
+
+    Raises BudgetExceeded, before allocating anything, when what the
+    oracle holds at its peak passes _ORACLE_BYTES_CAP: the rank's basis,
+    the columns held beside it twice, as built and as copied (one point's
+    block in a wide case, the whole matrix in a tall one), and the
+    division map, of n+1 <= dn+1 entries per row.
+    """
+    rows = monomial_count(problem.n, problem.d)
+    width = problem.d * problem.n + 1
+    cols = problem.s * width
+    tall = rows > cols
+    ranked = (cols, rows) if tall else (rows, cols)
+    held = gflinalg.basis_bytes(*ranked) + 3 * 8 * rows * (cols if tall else width)
+    if held > _ORACLE_BYTES_CAP:
+        raise BudgetExceeded(
+            f"oracle for {rows} x {cols} would hold {held} bytes, over the cap of {_ORACLE_BYTES_CAP}"
+        )
     sampler = FormSampler(seed, field)
-    cols: list[np.ndarray] = []
-    for i in range(problem.s):
-        # entries are below P < 2^15: hold them at the int16 width of the matrix
-        point_cols = tangent_columns(sample_point(sampler, problem.d, problem.n, i), field)
-        cols.extend(np.asarray(point_cols, dtype=np.int16))
-    return rank_mod_p(from_columns(cols, field.modulus, rows=ambient))
+    blocks = (tangent_columns(sample_point(sampler, problem.d, problem.n, i), field) for i in range(problem.s))
+    if tall:
+        stacked = np.vstack([block.T for block in blocks])
+        blocks = (stacked[:, a : a + gflinalg.DEFAULT_BLOCK] for a in range(0, rows, gflinalg.DEFAULT_BLOCK))
+    return gflinalg.rank_from_column_blocks(blocks, ranked[0], field.modulus, total_cols=ranked[1])
 
 
 def chow_quadric_dim(n: int, s: int) -> int:

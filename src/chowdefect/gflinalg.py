@@ -1,11 +1,10 @@
-"""Dense matrices and rank computation over Z_P.
+"""Exact rank over Z_P of a matrix streamed in column blocks.
 
-A DenseMatrix is a single contiguous column-major int16 buffer (entries
-of any accepted prime fit 16 bits).  Rank is computed by a blocked
-elimination that accumulates a column basis in generations: each
-incoming block of columns is cleared against every earlier generation
-with one matrix product per generation, and the genuinely new pivots are
-Jordan-normalized among themselves and frozen as the next generation.
+Rank is computed by a blocked elimination that accumulates a column
+basis in generations: each incoming block of columns is cleared against
+every earlier generation with one matrix product per generation, and the
+genuinely new pivots are Jordan-normalized among themselves and frozen as
+the next generation.
 
 The basis keeps a row permutation, as a PLUQ factorization does (Dumas,
 Giorgi & Pernet, ACM TOMS 2008), so that the rows without a pivot form a
@@ -35,11 +34,10 @@ elimination.  The rank stays exact:
 
 The sample decides only how fast the rank is found, never its value.
 
-All bulk arithmetic runs in float64 BLAS calls on integers.  Column
-blocks arrive as float64 (bolattice gathers them that way) or as int16
-(DenseMatrix), and permuting a block into basis order, in float64, is
-its only copy.  Entries are kept in 0..P-1 with P < 2^15 and reduction
-is delayed: a cleared block accumulates at most rank products of two
+All bulk arithmetic runs in float64 BLAS calls on integers.  Permuting
+an incoming column block into basis order, in float64, is its only
+copy.  Entries are kept in 0..P-1 with P < 2^15 and reduction is
+delayed: a cleared block accumulates at most rank products of two
 reduced values, and the sampled products have inner dimension b < m,
 so every partial result stays below 2^53 where float64 is exact.  The
 computed rank is therefore the exact rank over Z_P, independent of BLAS
@@ -48,64 +46,15 @@ threading or scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .gfpoly import DimensionMismatch, MAX_PRIME, _is_prime
+from .gfpoly import DimensionMismatch
 
 DEFAULT_BLOCK = 256
 
 ProgressHook = Callable[[int, int, int], None]  # (cols_done, cols_total, rank_so_far)
-
-
-@dataclass
-class DenseMatrix:
-    """Column-major dense matrix over Z_P; immutable once built."""
-
-    rows: int
-    cols: int
-    data: np.ndarray  # shape (rows, cols), int16, F-order
-    modulus: int
-
-    def __post_init__(self):
-        if not _is_prime(self.modulus) or self.modulus > MAX_PRIME:
-            raise ValueError(f"bad modulus {self.modulus}")
-        if self.data.shape != (self.rows, self.cols):
-            raise DimensionMismatch(f"data shape {self.data.shape} != {(self.rows, self.cols)}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-
-def _as_int16(block: np.ndarray, modulus: int) -> np.ndarray:
-    """block reduced into 0..modulus-1 as int16; int16 input already in range is returned as is."""
-    b = np.asarray(block)
-    if b.dtype == np.int16 and (b.size == 0 or (b.min() >= 0 and b.max() < modulus)):
-        return b
-    return (b.astype(np.int64) % modulus).astype(np.int16)
-
-
-def from_columns(columns: Iterable[np.ndarray], modulus: int, rows: int | None = None) -> DenseMatrix:
-    """Matrix with the given coefficient vectors as columns.
-
-    An empty column list needs an explicit row count.
-    """
-    cols = [np.asarray(c) for c in columns]
-    if not cols:
-        if rows is None:
-            raise DimensionMismatch("empty column list needs an explicit row count")
-        return DenseMatrix(rows, 0, np.zeros((rows, 0), dtype=np.int16, order="F"), modulus)
-    nrows = cols[0].shape[0]
-    if rows is not None and rows != nrows:
-        raise DimensionMismatch(f"declared {rows} rows but columns have {nrows}")
-    for j, c in enumerate(cols):
-        if c.shape != (nrows,):
-            raise DimensionMismatch(f"column {j} has shape {c.shape}, want ({nrows},)")
-    # one row per column, so the transpose is the F-order matrix
-    return DenseMatrix(nrows, len(cols), _as_int16(np.stack(cols), modulus).T, modulus)
 
 
 _LEAF_WIDTH = 48  # below this, column-at-a-time elimination beats matmuls
@@ -342,6 +291,13 @@ class _GenerationBasis:
         F[dest] = F[src]
 
 
+def basis_bytes(rows: int, cols: int) -> int:
+    """Bound on the basis that the rank of a rows x cols matrix stores:
+    rows*r - r^2/2 float64 entries on the free rows at rank r <= min(rows, cols)."""
+    r = min(rows, cols)
+    return 8 * (rows * r - r * r // 2)
+
+
 def rank_from_column_blocks(
     blocks: Iterator[np.ndarray],
     n_rows: int,
@@ -351,12 +307,12 @@ def rank_from_column_blocks(
 ) -> int:
     """Rank over Z_P of the matrix whose columns arrive in blocks.
 
-    Blocks are (n_rows x b) arrays with entries already in 0..P-1,
-    best float64, which clear_block uses without a cast.  Only
-    the block in hand is held, never the whole matrix, so peak memory is
-    that block plus the basis on its free rows, at most
-    8 * (n_rows*r - r^2/2) bytes at rank r.  Stops consuming blocks once
-    the rank hits n_rows.
+    Blocks are (n_rows x b) arrays of any numeric dtype and layout with
+    entries already in 0..P-1; clear_block casts each to float64 as it
+    permutes it.  Only the block in hand is held, never the whole matrix,
+    so peak memory is that block plus the basis on its free rows, at most
+    basis_bytes(n_rows, cols) for cols columns in all.  Stops consuming
+    blocks once the rank hits n_rows.
     """
     if n_rows == 0:
         return 0
@@ -373,24 +329,3 @@ def rank_from_column_blocks(
         if basis.rank == n_rows:
             break
     return basis.rank
-
-
-def _column_blocks(data: np.ndarray, block: int) -> Iterator[np.ndarray]:
-    for start in range(0, data.shape[1], block):
-        yield data[:, start : start + block]
-
-
-def rank_mod_p(m: DenseMatrix, block: int = DEFAULT_BLOCK, progress: ProgressHook | None = None) -> int:
-    """Exact rank of m over Z_P.
-
-    Eliminates along the shorter dimension: a wide matrix is consumed
-    column by column, a tall one row by row (rank is transpose
-    invariant), keeping the basis vectors short.
-    """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    data = m.data if m.rows <= m.cols else m.data.T
-    return rank_from_column_blocks(
-        _column_blocks(data, block), data.shape[0], m.modulus,
-        total_cols=data.shape[1], progress=progress,
-    )

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import chowdefect.chow as chow
 from chowdefect.chow import (
     ChowPoint,
     DomainError,
@@ -12,8 +14,10 @@ from chowdefect.chow import (
 )
 from chowdefect.finite_calculus import binomial
 from chowdefect.gfpoly import BudgetExceeded, LinearForm, PrimeField
-from chowdefect.gflinalg import from_columns, rank_mod_p
+from chowdefect.gfpoly import monomial_count
+from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
+from test_gflinalg import reference_rank
 
 F = PrimeField(8191)
 
@@ -30,8 +34,8 @@ def test_secant_problem_validation():
 
 
 def tangent_rank(point):
-    cols = tangent_columns(point, F)
-    return rank_mod_p(from_columns(cols, F.modulus))
+    block = tangent_columns(point, F)
+    return rank_from_column_blocks(iter([block]), block.shape[0], F.modulus)
 
 
 def test_tangent_rank_product_of_two_lines():
@@ -77,9 +81,40 @@ def test_terracini_nondefective_plane_cubics():
         assert terracini_rank(SecantProblem(d=3, n=2, s=s), seed=5, field=F) == want
 
 
-def test_terracini_budget_guard():
+def test_terracini_budget_guard(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the guard must refuse before any column is built")
+
+    monkeypatch.setattr(chow, "tangent_columns", unreachable)
     with pytest.raises(BudgetExceeded):
         terracini_rank(SecantProblem(d=40, n=10, s=1), seed=1, field=F)
+    # 45451 rows, within the old 10^5-row cap, but its basis alone is 8.1 GiB
+    with pytest.raises(BudgetExceeded):
+        terracini_rank(SecantProblem(d=2, n=300, s=200), seed=1, field=F)
+
+
+@pytest.mark.parametrize("d, n, s", [(2, 4, 1), (3, 3, 1), (2, 4, 2), (3, 2, 3), (1, 4, 1), (1, 7, 1)])
+def test_terracini_rank_on_both_sides_of_the_transpose(monkeypatch, d, n, s):
+    """Tall (15 x 9, 20 x 10), wide (15 x 18, 10 x 21) and square ((n+1) x (n+1))
+    cases: the oracle's rank equals the reference rank of the stacked tangent
+    blocks, and a tall case ranks the transpose, one with s(dn+1) rows."""
+    seed = 41
+    sampler = FormSampler(seed, F)
+    blocks = [tangent_columns(sample_point(sampler, d, n, i), F) for i in range(s)]
+    rows, width = monomial_count(n, d), d * n + 1
+    for block in blocks:
+        assert block.dtype == np.float64 and block.flags.f_contiguous
+        assert block.shape == (rows, width)
+    seen = []
+
+    def recording(blocks, n_rows, *args, **kwargs):
+        seen.append(n_rows)
+        return rank_from_column_blocks(blocks, n_rows, *args, **kwargs)
+
+    monkeypatch.setattr(chow.gflinalg, "rank_from_column_blocks", recording)
+    rank = terracini_rank(SecantProblem(d=d, n=n, s=s), seed=seed, field=F)
+    assert rank == reference_rank(np.hstack(blocks), F.modulus)
+    assert seen == [min(rows, s * width)]
 
 
 def test_chow_quadric_dim_formula():

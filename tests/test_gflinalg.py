@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chowdefect.gfpoly import DimensionMismatch
-from chowdefect.gflinalg import DenseMatrix, from_columns, rank_from_column_blocks, rank_mod_p
+from chowdefect.gflinalg import DEFAULT_BLOCK, _LEAF_WIDTH, rank_from_column_blocks
 
 P = 8191
 
@@ -28,35 +28,40 @@ def reference_rank(M, p=P):
     return r
 
 
-def matrix_of(array):
-    array = np.asarray(array)
-    return from_columns(list(array.T), P, rows=array.shape[0])
+def stream_rank(A, p=P, widths=(DEFAULT_BLOCK,)):
+    """rank_from_column_blocks over A cut into blocks of the given widths, cycled."""
+    A = np.asarray(A)
+    blocks, at, i = [], 0, 0
+    while at < A.shape[1]:
+        w = widths[i % len(widths)]
+        blocks.append(A[:, at : at + w].astype(np.float64))
+        at, i = at + w, i + 1
+    return rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1])
 
 
 def test_identity_and_proportional_rows():
-    assert rank_mod_p(matrix_of(np.eye(5, dtype=np.int64))) == 5
-    assert rank_mod_p(matrix_of([[1, 2], [2, 4]])) == 1
+    assert stream_rank(np.eye(5, dtype=np.int64)) == 5
+    assert stream_rank([[1, 2], [2, 4]]) == 1
 
 
 def test_empty_matrices():
-    m = from_columns([], P, rows=56)
-    assert m.shape == (56, 0)
-    assert rank_mod_p(m) == 0
-    assert rank_mod_p(matrix_of(np.zeros((7, 9)))) == 0
+    assert rank_from_column_blocks(iter([]), 56, P) == 0
+    assert rank_from_column_blocks(iter([np.zeros((0, 3))]), 0, P) == 0
+    assert stream_rank(np.zeros((7, 9))) == 0
 
 
 def test_from_columns_validation():
     with pytest.raises(DimensionMismatch):
-        from_columns([], P)
+        rank_from_column_blocks(iter([np.zeros((3, 2)), np.zeros((4, 2))]), 3, P)
     with pytest.raises(DimensionMismatch):
-        from_columns([np.zeros(3), np.zeros(4)], P)
-    assert rank_mod_p(from_columns([np.array([1, 2, 3])] * 3, P)) == 1
+        rank_from_column_blocks(iter([np.zeros(3)]), 3, P)
+    assert stream_rank(np.array([[1, 2, 3]] * 3).T) == 1
 
 
 def test_rank_invariances():
     rng = np.random.default_rng(3)
     A = (rng.integers(0, P, (15, 4)) @ rng.integers(0, P, (4, 18))) % P
-    base = rank_mod_p(matrix_of(A))
+    base = stream_rank(A)
     assert base == 4
     for _ in range(5):
         rp = rng.permutation(15)
@@ -64,7 +69,7 @@ def test_rank_invariances():
         scaled = A[rp][:, cp].copy()
         row = rng.integers(0, 15)
         scaled[row] = scaled[row] * int(rng.integers(1, P)) % P
-        assert rank_mod_p(matrix_of(scaled)) == base
+        assert stream_rank(scaled) == base
 
 
 def test_rank_matches_reference_on_random():
@@ -82,7 +87,7 @@ def test_rank_matches_reference_on_random():
             ) % P
         else:
             A = rng.integers(0, 2, (r, c))  # lots of zeros, stresses pivoting
-        assert rank_mod_p(matrix_of(A)) == reference_rank(A)
+        assert stream_rank(A) == reference_rank(A)
 
 
 def test_rank_block_size_independent():
@@ -90,42 +95,32 @@ def test_rank_block_size_independent():
     A = (rng.integers(0, P, (90, 33)) @ rng.integers(0, P, (33, 120))) % P
     want = reference_rank(A)
     for block in (7, 16, 64, 256):
-        assert rank_mod_p(matrix_of(A), block=block) == want
+        assert stream_rank(A, widths=[block]) == want
 
 
 def test_rank_deterministic():
     rng = np.random.default_rng(7)
     A = rng.integers(0, P, (120, 150))
-    m = matrix_of(A)
-    assert rank_mod_p(m) == rank_mod_p(m)
+    assert stream_rank(A) == stream_rank(A)
 
 
 def test_streaming_equals_materialized():
     rng = np.random.default_rng(8)
     A = (rng.integers(0, P, (80, 20)) @ rng.integers(0, P, (20, 95))) % P
-    blocks = [A[:, i : i + 13].astype(np.float64) for i in range(0, 95, 13)]
-    assert rank_from_column_blocks(iter(blocks), 80, P) == rank_mod_p(matrix_of(A))
+    whole = rank_from_column_blocks(iter([A]), 80, P)
+    assert stream_rank(A, widths=[13]) == whole == 20
 
 
 def test_small_prime_field():
     rng = np.random.default_rng(9)
     A = rng.integers(0, 2, (40, 40))
-    assert rank_mod_p(from_columns(list(A.T), 2, rows=40)) == reference_rank(A, p=2)
-
-
-def test_dense_matrix_validation():
-    with pytest.raises(ValueError):
-        DenseMatrix(2, 2, np.zeros((2, 2), dtype=np.int16), 8192)
-    with pytest.raises(DimensionMismatch):
-        DenseMatrix(2, 3, np.zeros((2, 2), dtype=np.int16), P)
+    assert stream_rank(A, p=2) == reference_rank(A, p=2)
 
 
 # ---------------------------------------------------------------------------
 # adversarial equality against reference_rank (Hypothesis)
 
 from hypothesis import given, settings, strategies as st
-
-from chowdefect.gflinalg import DEFAULT_BLOCK, _LEAF_WIDTH
 
 # p = 2 has the most accidental dependencies; 32749 is the largest prime
 # below 2^15, where the float64 accumulation bound is tightest.
@@ -164,25 +159,11 @@ def adversarial_matrices(draw, rows=st.integers(1, 64), cols=None):
     return p, A
 
 
-def rank_of(A, p, block=DEFAULT_BLOCK):
-    return rank_mod_p(from_columns(list(A.T), p, rows=A.shape[0]), block=block)
-
-
-def stream_rank(A, p, widths):
-    """rank_from_column_blocks over A cut into blocks of the given widths, cycled."""
-    blocks, at, i = [], 0, 0
-    while at < A.shape[1]:
-        w = widths[i % len(widths)]
-        blocks.append(A[:, at : at + w].astype(np.float64))
-        at, i = at + w, i + 1
-    return rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1])
-
-
 @PROPERTY
 @given(adversarial_matrices(), st.sampled_from((7, _LEAF_WIDTH, _LEAF_WIDTH + 1, DEFAULT_BLOCK)))
-def test_property_rank_mod_p_matches_reference(case, block):
+def test_property_rank_matches_reference(case, block):
     p, A = case
-    assert rank_of(A, p, block) == reference_rank(A, p)
+    assert stream_rank(A, p, [block]) == reference_rank(A, p)
 
 
 @PROPERTY
@@ -195,11 +176,13 @@ def test_property_streaming_matches_reference(case, widths):
 
 @PROPERTY
 @given(adversarial_matrices(rows=st.integers(2, 200), cols=st.integers(1, 60)))
-def test_property_tall_matrices_take_transpose(case):
+def test_property_tall_matrices_stream_at_full_height(case):
+    """Tall matrices, streamed as they are: the sampled pivot search runs
+    on every block with more than three free rows per column."""
     p, A = case
     if A.shape[0] <= A.shape[1]:
         A = np.vstack([A] * (A.shape[1] // A.shape[0] + 1))  # repeated rows make it tall
-    assert rank_of(A, p) == reference_rank(A, p)
+    assert stream_rank(A, p) == reference_rank(A, p)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -208,7 +191,7 @@ def test_property_tall_matrices_take_transpose(case):
 def test_property_many_pivots_in_one_block(case):
     """Enough rows that one 256-wide block holds several leaf chunks of pivots."""
     p, A = case
-    assert rank_of(A, p) == reference_rank(A, p)
+    assert stream_rank(A, p) == reference_rank(A, p)
 
 
 @PROPERTY
@@ -224,7 +207,7 @@ def test_property_deficiency_inside_one_block(p, rows, new, seed):
     second = np.hstack([mix, fresh])[:, rng.permutation(DEFAULT_BLOCK)]
     A = np.hstack([base, second])
     want = reference_rank(A, p)
-    assert rank_of(A, p) == want
+    assert stream_rank(A, p) == want
     blocks = iter([base.astype(np.float64), second.astype(np.float64)])
     assert rank_from_column_blocks(blocks, rows, p) == want
 
