@@ -15,9 +15,9 @@ P = 8191
 rng = np.random.default_rng(7)
 
 
-def rank(matrix, block=64):
-    """The rank of matrix, its columns streamed in blocks of the given width."""
-    blocks = (matrix[:, a : a + block] for a in range(0, matrix.shape[1], block))
+def rank(matrix):
+    """The rank of matrix, its columns streamed in blocks of 64."""
+    blocks = (matrix[:, a : a + 64] for a in range(0, matrix.shape[1], 64))
     return rank_from_column_blocks(blocks, matrix.shape[0], P, total_cols=matrix.shape[1])
 
 

@@ -30,7 +30,6 @@ def build(cfg, t, branch, seed):
 
 def rank_of(matrix):
     """The rank of a whole matrix, passed to the engine as one block."""
-    matrix = np.asarray(matrix)
     return rank_from_column_blocks(iter([matrix]), matrix.shape[0], F.modulus)
 
 

@@ -13,8 +13,7 @@ from chowdefect.chow import (
     terracini_rank,
 )
 from chowdefect.finite_calculus import binomial
-from chowdefect.gfpoly import BudgetExceeded, LinearForm, PrimeField
-from chowdefect.gfpoly import monomial_count
+from chowdefect.gfpoly import BudgetExceeded, LinearForm, PrimeField, monomial_count
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
 from test_gflinalg import reference_rank
