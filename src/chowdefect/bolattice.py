@@ -40,6 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .finite_calculus import (
+    PROOF_STEP,
     Quasipolynomial,
     backward_diff,
     binomial,
@@ -126,7 +127,7 @@ def config_for(family: str) -> LatticeConfig:
     (cubics: X(t) is the cubic Chow variety in t+1 variables).  An
     unknown family raises ValueError."""
     s1, s2 = make_proof_functions()
-    return LatticeConfig(family, ell=27, k0=3, t0=82, s1=s1, s2=s2)
+    return LatticeConfig(family, ell=PROOF_STEP, k0=3, t0=3 * PROOF_STEP + 1, s1=s1, s2=s2)
 
 
 @dataclass(frozen=True)
@@ -489,7 +490,6 @@ def verify_statement(
     seed: int,
     field: PrimeField = PrimeField(8191),
     retries: int = 2,
-    block: int = DEFAULT_BLOCK,
     progress: ProgressHook | None = None,
 ) -> VerificationOutcome:
     """Build, rank, compare; retry with derived seeds on a rank shortfall.
@@ -504,6 +504,8 @@ def verify_statement(
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     info = plan_statement(config, t, branch)
     i, expected = info["i"], info["expected"]
     attempts = []
@@ -515,7 +517,7 @@ def verify_statement(
         tic = time.perf_counter()
         spec = prepare_build(config, t, i, info["eta"], info["mu"], sampler)
         # columns are generated while the rank pulls them: charge the pulls to construction
-        pulls = _PullTimer(column_blocks(spec, field, block))
+        pulls = _PullTimer(column_blocks(spec, field))
         construct_seconds = time.perf_counter() - tic
         tic = time.perf_counter()
         found = rank_from_column_blocks(

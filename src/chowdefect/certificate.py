@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bolattice
+from .finite_calculus import PROOF_STEP
 from .gfpoly import DimensionMismatch, PrimeField
 from .gflinalg import rank_from_column_blocks
 from .sampling import SUBSTREAM_ALGORITHM, FormSampler, RecordedForms
@@ -132,7 +133,7 @@ def from_outcome(outcome: bolattice.VerificationOutcome, forms=None) -> Certific
         i=outcome.i,
         nd=bolattice.STATEMENT_ND,
         t=outcome.t,
-        ell=27,
+        ell=PROOF_STEP,
         forms=list(forms),
         construct_line=f"Constructed T in {outcome.construct_seconds:.3f}s.",
         rank_line=(
@@ -207,7 +208,7 @@ def parse(text: str) -> Certificate:
     verdict, abundance = m.group(5), m.group(6)
 
     family = branch = substream = None
-    retries = resamples = None
+    counts = {}  # retries and resamples
     while pos < len(lines) and not lines[pos].strip():
         pos += 1
     while pos < len(lines) and lines[pos].strip():
@@ -220,10 +221,11 @@ def parse(text: str) -> Certificate:
             branch = value
         elif key == "substream":
             substream = value
-        elif key == "retries":
-            retries = int(value)
-        elif key == "resamples":
-            resamples = int(value)
+        elif key in ("retries", "resamples"):
+            try:
+                counts[key] = int(value)
+            except ValueError:
+                raise ParseError(pos + 1, f"{key} must be an integer, got {value!r}")
         pos += 1
 
     for line_no, (label, coeffs) in enumerate(forms, start=3):
@@ -237,7 +239,7 @@ def parse(text: str) -> Certificate:
         seed=seed, prime=prime, rows=rows, cols=cols, found=found, expected=expected,
         verdict=verdict, abundance=abundance, i=i, nd=nd, t=t, ell=ell, forms=forms,
         construct_line=construct_line, rank_line=rank_line, family=family, branch=branch,
-        substream=substream, retries=retries, resamples=resamples,
+        substream=substream, retries=counts.get("retries"), resamples=counts.get("resamples"),
     )
 
 

@@ -84,9 +84,7 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     return arr
 
 
-def _extract_leaf(
-    B: np.ndarray, p: int, cap: int, head: int | None = None
-) -> tuple[np.ndarray | None, list[int]]:
+def _extract_leaf(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.ndarray | None, list[int]]:
     """Unblocked left-looking elimination on a narrow cleared block.
 
     Each column is cleared against the pivots found so far with two
@@ -94,8 +92,10 @@ def _extract_leaf(
     columns restricted to their pivot rows (lower triangular).  The
     columns are kept unnormalized; C @ X is their Jordan form.  Pivots
     are taken only in the first `head` rows, if given: a column that is
-    zero there once cleared counts as dependent.
+    zero there once cleared counts as dependent.  Each pivot takes a new
+    allowed row, so the search stops once they are all taken.
     """
+    cap = B.shape[0] if head is None else head
     cols = np.array(B.T)  # one contiguous row per column of B
     C = np.empty((B.shape[0], min(cols.shape[0], cap)), dtype=np.float64, order="F")
     X = np.zeros((C.shape[1], C.shape[1]), dtype=np.float64)
@@ -122,9 +122,7 @@ def _extract_leaf(
     return _reduce_mod(C[:, :k] @ X[:k, :k], p), rows
 
 
-def _extract_jordan(
-    B: np.ndarray, p: int, cap: int, head: int | None = None
-) -> tuple[np.ndarray | None, list[int]]:
+def _extract_jordan(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.ndarray | None, list[int]]:
     """Jordan-normalized independent columns of a cleared, reduced block.
 
     Wide blocks recurse through a temporary generation basis so almost
@@ -134,15 +132,16 @@ def _extract_jordan(
     pivot row, so the rows past `head` keep their places, and in each
     temporary basis the allowed rows are the first head - rank free ones.
     """
+    cap = B.shape[0] if head is None else head
     if B.shape[1] == 0 or cap <= 0:
         return None, []
     if B.shape[1] <= _LEAF_WIDTH:
-        return _extract_leaf(B, p, cap, head)
-    temp = _GenerationBasis(B.shape[0], p, limit=cap)
+        return _extract_leaf(B, p, head)
+    temp = _GenerationBasis(B.shape[0], p)
     step = max(_LEAF_WIDTH, (B.shape[1] + 3) // 4)
     for a in range(0, B.shape[1], step):
         F = temp.clear_block(B[:, a : a + step])
-        temp.store(*_extract_jordan(F, p, cap - temp.rank, None if head is None else head - temp.rank))
+        temp.store(*_extract_jordan(F, p, None if head is None else head - temp.rank))
         if temp.rank == cap:
             break
     g = temp.rank
@@ -198,12 +197,11 @@ class _GenerationBasis:
     ever recomputed or gathered in full.
     """
 
-    def __init__(self, length: int, p: int, limit: int | None = None):
+    def __init__(self, length: int, p: int):
         if length * (p - 1) ** 2 >= 2**52:
             raise OverflowError("matrix too large for exact float64 accumulation")
         self.length = length
         self.p = p
-        self.limit = length if limit is None else limit
         self.perm = np.arange(length)
         self.generations: list[tuple[int, int, np.ndarray]] = []  # (start, end, rows below end)
         self.rank = 0
@@ -257,14 +255,14 @@ class _GenerationBasis:
         """
         m, b = F.shape
         if m <= 3 * b:
-            return self.store(*_extract_jordan(F, self.p, self.limit - self.rank))
+            return self.store(*_extract_jordan(F, self.p))
         p = self.p
         s = b + _SAMPLE_EXTRA
         sample = np.arange(s) * m // s
         stack = np.empty((s + b, b), dtype=np.float64)
         stack[:s] = F[sample]
         stack[s:] = np.eye(b)
-        Cs, rows = _extract_jordan(stack, p, self.limit - self.rank, s)
+        Cs, rows = _extract_jordan(stack, p, s)
         g = len(rows)
         if g:
             self._move_to_front(sample[rows].tolist(), F)
@@ -278,7 +276,7 @@ class _GenerationBasis:
             F = _reduce_mod(F[g:], p)
         if not F.any():
             return g
-        return g + self.store(*_extract_jordan(F, p, self.limit - self.rank))
+        return g + self.store(*_extract_jordan(F, p))
 
     def _move_to_front(self, rows: list[int], F: np.ndarray) -> None:
         """Bring free rows `rows` (offsets into the free suffix) to its front:

@@ -15,10 +15,12 @@ The only product ever needed is (degree-k form) * (linear form), done as
 a gather: the division map lists, for every degree-(k+1) monomial m and
 variable x_j, the position of m / x_j in degree k (or a zero slot when
 x_j does not divide m), so f * l is one take of f through the map and
-an (n+1)-term dot product per output coefficient.  Families of products
-that each omit one factor come from a product tree built on that kernel,
-and tangent_groups turns them into the gather groups of the tangent
-columns that can add to the span.
+an (n+1)-term dot product per output coefficient.  Lex order is a
+monomial order, so the map is read straight off the exponents of the
+degree-(k+1) monomials.  Families of products that each omit one factor
+come from a product tree built on that kernel, and tangent_groups turns
+them into the gather groups of the tangent columns that can add to the
+span.
 """
 
 from __future__ import annotations
@@ -145,39 +147,6 @@ def monomial_exponents(n: int, d: int) -> np.ndarray:
     return out
 
 
-def variable_insertion_map(n: int, k: int) -> np.ndarray:
-    """0-based positions of x_j * m for every degree-k monomial m.
-
-    Entry [m, j] is the position (in degree k+1) of the monomial at
-    position m of degree k with variable j multiplied in.  Each column is
-    injective, so it inverts into a row of the division map, which is
-    what the kernels use and what is cached.  Inserting x_j bumps the
-    suffix sums S_1..S_j by one, so all n+1 columns come from one pass
-    over the shared suffix sums.
-    """
-    exps = monomial_exponents(n, k)
-    count = exps.shape[0]
-    table = _binom_table(n + k + 3, n + 2)
-    suffix = np.empty((count, n), dtype=np.int64)  # column v holds S_{v+1}
-    running = np.zeros(count, dtype=np.int64)
-    for v in range(n - 1, -1, -1):
-        running += exps[:, v + 1]
-        suffix[:, v] = running
-    out = np.empty((count, n + 1), dtype=np.int64)
-    acc = np.zeros(count, dtype=np.int64)
-    for v in range(n):
-        acc += table[suffix[:, v] - 1 + n - v, n - v]
-    out[:, 0] = acc
-    # inserting x_{j+1} instead of x_j additionally bumps S_{j+1} by one,
-    # so only the term at v = j moves
-    for j in range(n):
-        arg = suffix[:, j] - 1 + n - j
-        acc = acc - table[arg, n - j] + table[arg + 1, n - j]
-        out[:, j + 1] = acc
-    out.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=None)
 def division_map(n: int, k: int) -> np.ndarray:
     """Gather indices from degree k to degree k+1, one row per variable.
@@ -186,13 +155,18 @@ def division_map(n: int, k: int) -> np.ndarray:
     degree-(k+1) monomial m at position r, or C(n+k, k) -- a zero slot
     one past the end -- when x_j does not divide m.  With f padded by one
     zero, take(fpad, G)[j] is x_j * f, and f * l is l @ take(fpad, G).
+
+    Lex order is a monomial order, so multiplying by x_j keeps the order
+    and maps the degree-k monomials one-to-one onto the degree-(k+1)
+    monomials that x_j divides.  Row j therefore numbers those monomials
+    0, 1, 2, ... in order.
     """
-    imap = variable_insertion_map(n, k)
-    count = imap.shape[0]
-    out = np.full((n + 1, monomial_count(n, k + 1)), count, dtype=np.intp)
+    exps = monomial_exponents(n, k + 1)
+    count = monomial_count(n, k)
+    out = np.full((n + 1, exps.shape[0]), count, dtype=np.intp)
     quotients = np.arange(count, dtype=np.intp)
     for j in range(n + 1):
-        out[j, imap[:, j]] = quotients
+        out[j, exps[:, j] > 0] = quotients
     out.setflags(write=False)
     return out
 

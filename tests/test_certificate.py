@@ -137,6 +137,21 @@ def test_parse_errors():
         cert.parse("garbage\n")
 
 
+@pytest.mark.parametrize("key", ["retries", "resamples"])
+def test_non_integer_trailer_count_is_a_parse_error(tmp_path, capsys, key):
+    from chowdefect.cli import main
+
+    text = EXTERNAL_CERT + f"\nfamily=quaternary\n{key}=x\n"
+    line_no = len(text.splitlines())
+    with pytest.raises(cert.ParseError) as err:
+        cert.parse(text)
+    assert err.value.line_no == line_no and key in err.value.reason
+    path = tmp_path / "bad.cert"
+    path.write_text(text)
+    assert main(["reverify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"parse failure: line {line_no}: ")
+
+
 def test_oversized_coefficient_rejected():
     bad = EXTERNAL_CERT.replace("[7354", "[8191")
     with pytest.raises(cert.InvariantViolation):

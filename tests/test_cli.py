@@ -59,6 +59,18 @@ def test_verify_unverified_exit_code(tmp_path, capsys, monkeypatch):
     assert "UNVERIFIED" in out
 
 
+def test_verify_negative_retries_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="retries"):
+        bo.verify_statement(bo.config_for("quaternary"), 3, "s1", seed=4, retries=-1)
+    code, out, err = run(
+        capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1",
+        "--seed", "4", "--retries", "-1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "retries" in err and "Traceback" not in err
+
+
 def test_verify_memory_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(

@@ -9,6 +9,7 @@ from chowdefect.gfpoly import (
     IndexOutOfRange,
     LinearForm,
     PrimeField,
+    division_map,
     monomial_count,
     monomial_exponents,
     monomial_rank,
@@ -16,7 +17,6 @@ from chowdefect.gfpoly import (
     mul_linear,
     naive_product_oracle,
     product_of_linear_forms,
-    variable_insertion_map,
 )
 from chowdefect.sampling import FormSampler
 
@@ -166,13 +166,22 @@ def test_zero_form_rejected():
         LinearForm(3, np.ones(3, dtype=np.int64), F)
 
 
-def test_insertion_map_injective_per_variable():
-    for n, k in ((3, 4), (2, 5), (5, 2)):
-        imap = variable_insertion_map(n, k)
-        for j in range(n + 1):
-            col = imap[:, j]
-            assert len(np.unique(col)) == len(col)
-            assert col.min() >= 0 and col.max() < monomial_count(n, k + 1)
+def test_division_map_matches_monomial_rank():
+    for n, k in ((1, 0), (1, 6), (2, 5), (3, 0), (3, 4), (3, 9), (5, 2), (6, 3), (12, 2)):
+        G = division_map(n, k)
+        zero_slot = monomial_count(n, k)
+        assert G.shape == (n + 1, monomial_count(n, k + 1)) and G.dtype == np.intp
+        assert not G.flags.writeable
+        for z in range(G.shape[1]):
+            m = monomial_unrank(z + 1, n, k + 1)
+            for j in range(n + 1):
+                if j not in m:
+                    want = zero_slot
+                else:
+                    rest = list(m)
+                    rest.remove(j)
+                    want = monomial_rank(tuple(rest), n) - 1 if rest else 0
+                assert G[j, z] == want, (n, k, j, z)
 
 
 # ---------------------------------------------------------------------------
