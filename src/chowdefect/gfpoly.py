@@ -15,9 +15,10 @@ The only product ever needed is (degree-k form) * (linear form), done as
 a gather: the division map lists, for every degree-(k+1) monomial m and
 variable x_j, the position of m / x_j in degree k (or a zero slot when
 x_j does not divide m), so f * l is one take of f through the map and
-an (n+1)-term dot product per output coefficient.  Lex order is a
-monomial order, so the map is read straight off the exponents of the
-degree-(k+1) monomials.  Families of products that each omit one factor
+an (n+1)-term dot product per output coefficient.  Multiplying by x_j
+maps the degree-k monomials one-to-one onto the degree-(k+1) monomials
+it divides, so each row of the map is scattered from the lex positions
+of those products.  Families of products that each omit one factor
 come from a product tree built on that kernel, and tangent_groups turns
 them into the gather groups of the tangent columns that can add to the
 span.
@@ -156,17 +157,19 @@ def division_map(n: int, k: int) -> np.ndarray:
     one past the end -- when x_j does not divide m.  With f padded by one
     zero, take(fpad, G)[j] is x_j * f, and f * l is l @ take(fpad, G).
 
-    Lex order is a monomial order, so multiplying by x_j keeps the order
-    and maps the degree-k monomials one-to-one onto the degree-(k+1)
-    monomials that x_j divides.  Row j therefore numbers those monomials
-    0, 1, 2, ... in order.
+    Multiplying by x_j maps the degree-k monomials one-to-one onto the
+    degree-(k+1) monomials that x_j divides, so row j scatters 0, 1, 2,
+    ... to the lex positions of the degree-k exponents with exponent j
+    raised by one.  Only the degree-k exponent matrix is read, so the
+    map caches no exponent matrix of degree k+1.
     """
-    exps = monomial_exponents(n, k + 1)
-    count = monomial_count(n, k)
-    out = np.full((n + 1, exps.shape[0]), count, dtype=np.intp)
-    quotients = np.arange(count, dtype=np.intp)
+    exps = monomial_exponents(n, k).astype(np.int64)
+    out = np.full((n + 1, monomial_count(n, k + 1)), exps.shape[0], dtype=np.intp)
+    quotients = np.arange(exps.shape[0], dtype=np.intp)
     for j in range(n + 1):
-        out[j, exps[:, j] > 0] = quotients
+        exps[:, j] += 1
+        out[j, lex_positions(exps, n, k + 1) - 1] = quotients
+        exps[:, j] -= 1
     out.setflags(write=False)
     return out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from chowdefect.chow import (
     terracini_rank,
 )
 from chowdefect.finite_calculus import binomial
-from chowdefect.gfpoly import BudgetExceeded, LinearForm, PrimeField, monomial_count
+from chowdefect.gfpoly import (
+    BudgetExceeded,
+    LinearForm,
+    PrimeField,
+    division_map,
+    monomial_count,
+    monomial_exponents,
+)
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
 from test_gflinalg import reference_rank
@@ -90,6 +99,24 @@ def test_terracini_budget_guard(monkeypatch):
     # 45451 rows, within the old 10^5-row cap, but its basis alone is 8.1 GiB
     with pytest.raises(BudgetExceeded):
         terracini_rank(SecantProblem(d=2, n=300, s=200), seed=1, field=F)
+
+
+def test_budget_guard_charges_the_cold_peak(monkeypatch):
+    """A d=2 call that builds its exponent matrices and division maps
+    peaks, in traced allocations, within the guard's charge: a cap one
+    byte below that peak refuses it."""
+    monomial_exponents.cache_clear()
+    division_map.cache_clear()
+    problem = SecantProblem(d=2, n=60, s=1)
+    tracemalloc.start()
+    try:
+        terracini_rank(problem, seed=1, field=F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(chow, "_ORACLE_BYTES_CAP", peak - 1)
+    with pytest.raises(BudgetExceeded):
+        terracini_rank(problem, seed=1, field=F)
 
 
 @pytest.mark.parametrize("d, n, s", [(2, 4, 1), (3, 3, 1), (2, 4, 2), (3, 2, 3), (1, 4, 1), (1, 7, 1)])
