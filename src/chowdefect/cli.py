@@ -81,6 +81,8 @@ def cmd_verify(args) -> int:
     t_lo, t_hi = _parse_t_range(args.t)
     if t_hi > config.t0:
         raise UsageError(f"t beyond {config.t0} is not a base case; nothing to verify there")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     field = _field(args.prime)
     branches = ("s1", "s2") if args.branch == "both" else (args.branch,)
     statements = [(t, b) for t in range(t_lo, t_hi + 1) for b in branches]
@@ -94,7 +96,7 @@ def cmd_verify(args) -> int:
             print(_schedule_line(p))
         return 0
     # the rank basis dominates memory, and --threads N holds N of them at once
-    largest = sorted(plans, key=lambda p: p["basis_bytes"], reverse=True)[: max(args.threads, 1)]
+    largest = sorted(plans, key=lambda p: p["basis_bytes"], reverse=True)[: args.threads]
     need = sum(p["basis_bytes"] for p in largest)
     if need > cap:
         names = ", ".join(f"t={p['t']} {p['branch']}" for p in largest)

@@ -57,7 +57,7 @@ DEFAULT_BLOCK = 256
 ProgressHook = Callable[[int, int, int], None]  # (cols_done, cols_total, rank_so_far)
 
 
-_LEAF_WIDTH = 48  # below this, column-at-a-time elimination beats matmuls
+_LEAF_WIDTH = 64  # up to this width, column-at-a-time elimination beats matmuls
 _SAMPLE_EXTRA = 32  # a tall block of width b seeks its pivots on b + 32 of its rows
 _CLEAR_ROWS = 1024  # clearing products run over this many rows at a time
 
@@ -65,16 +65,16 @@ _CLEAR_ROWS = 1024  # clearing products run over this many rows at a time
 def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     """In-place exact mod p for integral float64 values below 2^52.
 
-    np.mod on float64 is an order of magnitude slower than the matrix
-    products it would follow, so reduce via floor(x/p): the quotient may
-    be off by one from rounding, leaving a residue in (-p, 2p), which
-    the two conditional fixups repair.  Everything stays below 2^52, so
-    every intermediate is exact.  The quotient is the one temporary.
-    Its six calls cost about 10 us whatever the size, so `%` is the
-    faster choice below a few hundred entries (5x at 48, the length of
-    the leaf's pivot-row vectors); from about 600 entries on this wins,
-    4x at 4495, the height of a block at t=28.
+    Below about 600 entries one `%` is fastest (4x at 64, a leaf's width).
+    From there on reduce via floor(x/p), as np.mod costs more than the
+    products it follows: the quotient may be off by one from rounding,
+    leaving a residue in (-p, 2p) that two conditional fixups repair.
+    Every intermediate stays below 2^52, so all is exact.  The six calls
+    take about 10 us at any size, 3x less than `%` at 4495 entries.
     """
+    if arr.size < 600:
+        arr %= p
+        return arr
     q = np.multiply(arr, 1.0 / p)
     np.floor(q, out=q)
     q *= p
@@ -85,41 +85,41 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
 
 
 def _extract_leaf(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.ndarray | None, list[int]]:
-    """Unblocked left-looking elimination on a narrow cleared block.
+    """Unblocked left-looking elimination on a narrow cleared, reduced block.
 
-    Each column is cleared against the pivots found so far with two
-    matrix-vector products, through X, the running inverse of the pivot
-    columns restricted to their pivot rows (lower triangular).  The
-    columns are kept unnormalized; C @ X is their Jordan form.  Pivots
+    Each column is cleared against the pivot columns so far, the rows of
+    C, through X, their inverse on the pivot rows (lower triangular), and
+    reduced once; C.T @ X is their Jordan form.  X's new row is one product
+    times p - inv, exact as k*p^3 < 2^51 for k < 64 and p < 2^15.  Pivots
     are taken only in the first `head` rows, if given: a column that is
     zero there once cleared counts as dependent.  Each pivot takes a new
     allowed row, so the search stops once they are all taken.
     """
     cap = B.shape[0] if head is None else head
     cols = np.array(B.T)  # one contiguous row per column of B
-    C = np.empty((B.shape[0], min(cols.shape[0], cap)), dtype=np.float64, order="F")
-    X = np.zeros((C.shape[1], C.shape[1]), dtype=np.float64)
-    rows: list[int] = []
+    C = np.empty((min(len(cols), cap), B.shape[0]), dtype=np.float64)
+    X = np.zeros((len(C), len(C)), dtype=np.float64)
+    rows = np.empty(len(C), dtype=np.intp)
+    k = 0
     for col in cols:
-        k = len(rows)
-        if k:
-            col -= C[:, :k] @ (X[:k, :k] @ col[rows] % p)
-        _reduce_mod(col, p)
-        nz = np.flatnonzero(col[:head])
-        if nz.size == 0:
+        if k:  # before the first pivot a column is B's own, already reduced
+            col -= (X[:k, :k] @ col[rows[:k]] % p) @ C[:k]
+            _reduce_mod(col, p)
+        nz = col[:head].nonzero()[0]
+        if not nz.size:
             continue
-        row = int(nz[0])
+        row = nz[0]
         inv = pow(int(col[row]), p - 2, p)
-        C[:, k] = col
-        X[k, :k] = -(C[row, :k] @ X[:k, :k]) % p * inv % p
+        C[k] = col
+        X[k, :k] = C[:k, row] @ X[:k, :k] * (p - inv) % p
         X[k, k] = inv
-        rows.append(row)
-        if k + 1 == cap:
+        rows[k] = row
+        k += 1
+        if k == cap:
             break
-    if not rows:
+    if not k:
         return None, []
-    k = len(rows)
-    return _reduce_mod(C[:, :k] @ X[:k, :k], p), rows
+    return _reduce_mod(C[:k].T @ X[:k, :k], p), rows[:k].tolist()
 
 
 def _extract_jordan(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.ndarray | None, list[int]]:

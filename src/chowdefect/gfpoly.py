@@ -127,23 +127,24 @@ def lex_positions(exps: np.ndarray, n: int, d: int) -> np.ndarray:
 def monomial_exponents(n: int, d: int) -> np.ndarray:
     """Exponent matrix (count x n+1) of all degree-d monomials, lex order.
 
-    Built recursively: the block with leading exponent e_0 is e_0 glued
-    onto the degree d - e_0 monomials in the remaining variables, with
-    e_0 running from d down to 0.  Cost is linear in the output.
+    Built from the last variable back: the degree-e monomials in
+    x_j..x_n are e_j = e, e-1, ..., 0 glued onto the degree e - e_j
+    monomials in x_{j+1}..x_n.  Only the matrices of one variable count
+    are held while the next are built, and only the result is cached,
+    so a cold build holds about twice the result at its peak.
     """
     if d < 0:
         raise IndexOutOfRange(f"degree must be >= 0, got {d}")
-    if n == 0:
-        return np.full((1, 1), d, dtype=np.int32)
-    if d == 0:
-        return np.zeros((1, n + 1), dtype=np.int32)
-    out = np.empty((monomial_count(n, d), n + 1), dtype=np.int32)
-    pos = 0
-    for e0 in range(d, -1, -1):
-        sub = monomial_exponents(n - 1, d - e0)
-        out[pos : pos + sub.shape[0], 0] = e0
-        out[pos : pos + sub.shape[0], 1:] = sub
-        pos += sub.shape[0]
+    level = [np.full((1, 1), e, dtype=np.int32) for e in range(d + 1)]  # x_n alone
+    for j in range(1, n + 1):
+        nxt = []
+        for e in range(d + 1) if j < n else (d,):
+            out = np.empty((monomial_count(j, e), j + 1), dtype=np.int32)
+            out[:, 0] = np.repeat(np.arange(e, -1, -1), [len(sub) for sub in level[: e + 1]])
+            np.concatenate(level[: e + 1], out=out[:, 1:])
+            nxt.append(out)
+        level = nxt
+    out = level[-1]
     out.setflags(write=False)
     return out
 

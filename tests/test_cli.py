@@ -97,6 +97,18 @@ def test_verify_memory_cap_counts_concurrent_statements(tmp_path, capsys, monkey
     assert code == 0
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_verify_nonpositive_threads_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1",
+        "--seed", "4", "--threads", threads,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "--threads" in err and "Traceback" not in err
+    assert not (tmp_path / "certificates").exists()
+
+
 def test_plan_only_t82_streaming(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "quaternary", "--t", "82", "--branch", "both",

@@ -19,10 +19,9 @@ def reference_rank(M, p=P):
             continue
         M[r], M[piv] = M[piv], M[r]
         inv = pow(M[r][c], p - 2, p)
-        M[r] = [(v * inv) % p for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
+        for i in range(r + 1, rows):  # rows above r take no further pivots
+            if M[i][c]:
+                f = M[i][c] * inv % p
                 M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
         r += 1
     return r
@@ -284,3 +283,61 @@ def test_wide_tall_blocks_with_directions_off_a_row_sample():
     mix = (dense[:, :50] + hidden[:, 50:] + np.outer(rng.integers(0, p, rows), rng.integers(0, p, 50))) % p
     A = np.hstack([dense, hidden, mix])
     assert stream_rank(A, p, [100]) == reference_rank(A.T, p) == 16
+
+
+# ---------------------------------------------------------------------------
+# the pivot leaf and the Jordan recursion, called directly: heights on both
+# sides of _reduce_mod's switch from `%` at 600 entries, widths around the leaf's
+
+from chowdefect.gflinalg import _extract_jordan, _extract_leaf
+
+CONTRACT_KINDS = ("staircase", "zero", "repeated", "scrambled")
+
+
+def contract_block(rng, p, m, w, kind):
+    """A reduced m x w float64 block of low rank with the given adversarial feature."""
+    k = int(rng.integers(0, min(m, w) + 1))
+    if kind in ("staircase", "scrambled"):
+        # column j's first nonzero sits at row j (mod k); scrambling the rows
+        # takes the pivots out of row order
+        A = np.zeros((m, w), dtype=np.int64)
+        for j in range(w if k else 0):
+            top = j % k
+            A[top, j] = rng.integers(1, p)
+            A[top + 1 : k, j] = rng.integers(0, p, k - top - 1)
+        if kind == "scrambled":
+            A = A[rng.permutation(m)]
+    else:
+        A = (rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, w))) % p
+        picked = rng.choice(w, max(w // 3, 1))
+        if kind == "zero":
+            A[:, picked] = 0
+        else:
+            A[:, picked] = A[:, rng.choice(w, picked.size)]
+    return A.astype(np.float64)
+
+
+@pytest.mark.parametrize("m", [40, 599, 600, 601, 1500])
+@pytest.mark.parametrize("w", [1, 63, 64, 65])
+def test_leaf_and_jordan_contract(m, w):
+    """Jordan columns that are the identity on their pivot rows, pivots only in
+    the allowed head, as many as the reference rank of that head, and, with
+    no head, a span holding every column of the block."""
+    rng = np.random.default_rng(m * 100 + w)
+    for i, (p, kind) in enumerate((p, kind) for p in (2, 32749) for kind in CONTRACT_KINDS):
+        B = contract_block(rng, p, m, w, kind)
+        head = None if i % 2 else int(rng.integers(1, m + 1))
+        top = B if head is None else B[:head]
+        rank = reference_rank(top.T.astype(np.int64), p)
+        for extract in (_extract_leaf, _extract_jordan):
+            J, rows = extract(B.copy(), p, head)
+            assert len(rows) == rank, (extract.__name__, p, kind, head)
+            if not rows:
+                assert J is None
+                continue
+            assert len(set(rows)) == rank and max(rows) < (m if head is None else head)
+            assert J.shape == (m, rank) and J.min() >= 0 and J.max() < p
+            assert np.array_equal(J[rows], np.eye(rank))
+            if head is None:
+                residue = B.astype(np.int64) - J.astype(np.int64) @ B[rows].astype(np.int64)
+                assert not (residue % p).any()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,22 @@ def test_rank_is_lex_increasing():
             tup += [v] * int(e)
         tuples.append(tuple(tup))
     assert tuples == sorted(tuples)
+
+
+def test_monomial_exponents_caches_only_the_requested_matrix():
+    """A cold build keeps one cache entry, not one per sub-result, and its
+    rows are the monomials x_{v1}...x_{vd}, v1 <= ... <= vd, in tuple order."""
+    monomial_exponents.cache_clear()
+    exps = monomial_exponents(40, 3)
+    assert monomial_exponents.cache_info().currsize == 1
+    want = np.zeros((monomial_count(40, 3), 41), dtype=np.int32)
+    for r, tup in enumerate(itertools.combinations_with_replacement(range(41), 3)):
+        for v in tup:
+            want[r, v] += 1
+    assert exps.dtype == np.int32 and not exps.flags.writeable
+    assert np.array_equal(exps, want)
+    assert np.array_equal(monomial_exponents(0, 5), [[5]])
+    assert np.array_equal(monomial_exponents(4, 0), [[0] * 5])
 
 
 def test_mul_linear_binomial_square():
