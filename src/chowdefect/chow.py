@@ -113,21 +113,32 @@ def sample_point(sampler: FormSampler, d: int, n: int, index: int) -> ChowPoint:
     return ChowPoint(forms)
 
 
+def oracle_bytes(problem: SecantProblem) -> int:
+    """What terracini_rank holds at its peak: the rank's own price,
+    gflinalg.basis_bytes (its basis and block working set), plus the
+    columns held beside it twice, as built and as copied (one point's
+    block in a wide case, the whole matrix in a tall one), and the
+    division map, of n+1 <= dn+1 entries per row."""
+    rows = monomial_count(problem.n, problem.d)
+    width = problem.d * problem.n + 1
+    cols = problem.s * width
+    if rows > cols:  # the transpose is ranked, in blocks of the default width
+        return gflinalg.basis_bytes(cols, rows) + 3 * 8 * rows * cols
+    return gflinalg.basis_bytes(rows, cols, width) + 3 * 8 * rows * width
+
+
 def terracini_rank(problem: SecantProblem, seed: int, field: PrimeField) -> int:
     """Rank of the stacked tangent columns at s seeded generic points.
 
     Raises BudgetExceeded, before allocating anything, when what the
-    oracle holds at its peak passes _ORACLE_BYTES_CAP: the rank's basis,
-    the columns held beside it twice, as built and as copied (one point's
-    block in a wide case, the whole matrix in a tall one), and the
-    division map, of n+1 <= dn+1 entries per row.
+    oracle holds at its peak, oracle_bytes(problem), passes
+    _ORACLE_BYTES_CAP.
     """
     rows = monomial_count(problem.n, problem.d)
-    width = problem.d * problem.n + 1
-    cols = problem.s * width
+    cols = problem.s * (problem.d * problem.n + 1)
     tall = rows > cols
     ranked = (cols, rows) if tall else (rows, cols)
-    held = gflinalg.basis_bytes(*ranked) + 3 * 8 * rows * (cols if tall else width)
+    held = oracle_bytes(problem)
     if held > _ORACLE_BYTES_CAP:
         raise BudgetExceeded(
             f"oracle for {rows} x {cols} would hold {held} bytes, over the cap of {_ORACLE_BYTES_CAP}"

@@ -95,14 +95,14 @@ def cmd_verify(args) -> int:
         for p in plans:
             print(_schedule_line(p))
         return 0
-    # the rank basis dominates memory, and --threads N holds N of them at once
+    # the rank's price (basis and block working set) dominates memory, and --threads N holds N at once
     largest = sorted(plans, key=lambda p: p["basis_bytes"], reverse=True)[: args.threads]
     need = sum(p["basis_bytes"] for p in largest)
     if need > cap:
         names = ", ".join(f"t={p['t']} {p['branch']}" for p in largest)
         needs = "needs" if len(largest) == 1 else "running together need"
         print(
-            f"{names} {needs} ~{need / 2**30:.3g} GiB of rank basis against a "
+            f"{names} {needs} ~{need / 2**30:.3g} GiB for the rank against a "
             f"{cap / 2**30:.3g} GiB cap; raise --mem-cap-gb",
             file=sys.stderr,
         )

@@ -11,8 +11,9 @@ Giorgi & Pernet, ACM TOMS 2008), so that the rows without a pivot form a
 contiguous suffix.  A generation is exactly zero on every earlier pivot
 row and the identity on its own, so it is stored only on the rows below
 its pivot block, and both clearing and pivot extraction touch only the
-rows still free.  The stored basis therefore never exceeds
-8 * (n*r - r^2/2) bytes for n rows and rank r.
+rows still free.  Its entries are residues below P < 2^15, so each
+generation is stored as int16, and the stored basis never exceeds
+2 * (n*r - r^2/2) bytes for n rows and rank r.
 
 Pivots of a tall block are sought on a sample of its rows.  When the
 cleared block F has m free rows and b < m/3 columns, s = b + 32 rows
@@ -36,12 +37,14 @@ The sample decides only how fast the rank is found, never its value.
 
 All bulk arithmetic runs in float64 BLAS calls on integers.  Permuting
 an incoming column block into basis order, in float64, is its only
-copy.  Entries are kept in 0..P-1 with P < 2^15 and reduction is
-delayed: a cleared block accumulates at most rank products of two
-reduced values, and the sampled products have inner dimension b < m,
-so every partial result stays below 2^53 where float64 is exact.  The
-computed rank is therefore the exact rank over Z_P, independent of BLAS
-threading or scheduling.
+copy; a stored generation is widened to float64 one row chunk at a
+time, into one scratch buffer, just before its product.  Entries are
+kept in 0..P-1 with P < 2^15 and reduction is delayed: a cleared block
+accumulates at most rank products of two reduced values, and the
+sampled products have inner dimension b < m, so every partial result
+stays below 2^53 where float64 is exact.  The computed rank is
+therefore the exact rank over Z_P, independent of BLAS threading or
+scheduling.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gfpoly import DimensionMismatch
+from .gfpoly import MAX_PRIME, DimensionMismatch
 
 DEFAULT_BLOCK = 256
 
@@ -59,7 +62,7 @@ ProgressHook = Callable[[int, int, int], None]  # (cols_done, cols_total, rank_s
 
 _LEAF_WIDTH = 64  # up to this width, column-at-a-time elimination beats matmuls
 _SAMPLE_EXTRA = 32  # a tall block of width b seeks its pivots on b + 32 of its rows
-_CLEAR_ROWS = 1024  # clearing products run over this many rows at a time
+_CLEAR_ROWS = 1024  # clearing products and reductions run over this many rows at a time
 
 
 def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
@@ -70,10 +73,16 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     products it follows: the quotient may be off by one from rounding,
     leaving a residue in (-p, 2p) that two conditional fixups repair.
     Every intermediate stays below 2^52, so all is exact.  The six calls
-    take about 10 us at any size, 3x less than `%` at 4495 entries.
+    take about 10 us at any size, 3x less than `%` at 4495 entries.  A
+    matrix taller than _CLEAR_ROWS is reduced in row chunks, so that its
+    quotient temporary is a chunk, not a copy of the whole matrix.
     """
     if arr.size < 600:
         arr %= p
+        return arr
+    if arr.ndim == 2 and len(arr) > _CLEAR_ROWS:
+        for a in range(0, len(arr), _CLEAR_ROWS):
+            _reduce_mod(arr[a : a + _CLEAR_ROWS], p)
         return arr
     q = np.multiply(arr, 1.0 / p)
     np.floor(q, out=q)
@@ -183,16 +192,16 @@ def _pivot_moves(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 class _GenerationBasis:
     """Column basis accumulated in Jordan-normalized generations, stored on
-    free rows only.
+    free rows only, as int16.
 
-    `perm` maps basis positions to input rows.  Positions 0..rank-1 hold
-    the pivot rows in the order they were found and the rest are free.
-    A generation with pivot positions start..end-1 has columns that are
-    zero above start and the identity on its own block, so only its
-    (length - end) x g part below the block is stored.  Incoming blocks
-    are permuted once and cleared generation by generation in order,
-    each product touching only the rows below that generation.  New
-    pivot rows are moved to the front of the free suffix by row swaps
+    `perm` maps basis positions to input rows and `inv` is its inverse.
+    Positions 0..rank-1 hold the pivot rows in the order they were found
+    and the rest are free.  A generation with pivot positions start..end-1
+    has columns that are zero above start and the identity on its own
+    block, so only its (length - end) x g part below the block is stored.
+    Incoming blocks are permuted once and cleared generation by generation
+    in order, each product touching only the rows below that generation.
+    New pivot rows are moved to the front of the free suffix by row swaps
     that are applied to every stored generation, so no generation is
     ever recomputed or gathered in full.
     """
@@ -200,11 +209,15 @@ class _GenerationBasis:
     def __init__(self, length: int, p: int):
         if length * (p - 1) ** 2 >= 2**52:
             raise OverflowError("matrix too large for exact float64 accumulation")
+        if p > MAX_PRIME:
+            raise OverflowError("residues too large for int16 storage")
         self.length = length
         self.p = p
         self.perm = np.arange(length)
-        self.generations: list[tuple[int, int, np.ndarray]] = []  # (start, end, rows below end)
+        self.inv = np.arange(length)
+        self.generations: list[tuple[int, int, np.ndarray]] = []  # (start, end, int16 rows below end)
         self.rank = 0
+        self._wide = np.empty(0)  # float64 scratch that one int16 row chunk is widened into
 
     def clear_block(self, B: np.ndarray) -> np.ndarray:
         """The free rows of block B, cleared against all generations and reduced.
@@ -214,31 +227,41 @@ class _GenerationBasis:
         Permuting B into basis order is its one copy: a scatter through
         the inverse permutation, which casts any dtype on the way and, from
         an F-order block, runs 3x faster than a row gather.  Each
-        generation's product runs in row chunks, so its temporary is a
-        chunk, not a block: the largest generation's full-height temporary
-        would otherwise sit on top of the whole basis at the end of a rank.
+        generation's product runs in row chunks, each widened to float64
+        in one reused buffer, and so does the final reduction: every
+        temporary is a chunk, not a block.
         """
         p = self.p
         Bp = np.empty(B.shape, dtype=np.float64)
-        Bp[np.argsort(self.perm)] = B
+        Bp[self.inv] = B
         for start, end, T in self.generations:
-            U = _reduce_mod(Bp[start:end].copy(), p)
+            # rows start..end-1 are read only here, so they are reduced in place
+            U = _reduce_mod(Bp[start:end], p)
             for a in range(0, T.shape[0], _CLEAR_ROWS):
-                Bp[end + a : end + a + _CLEAR_ROWS] -= T[a : a + _CLEAR_ROWS] @ U
+                chunk = T[a : a + _CLEAR_ROWS]
+                Bp[end + a : end + a + len(chunk)] -= self._widen(chunk) @ U
         return _reduce_mod(Bp[self.rank :], p)
+
+    def _widen(self, chunk: np.ndarray) -> np.ndarray:
+        """An int16 chunk copied into the float64 scratch buffer, grown on demand."""
+        if self._wide.size < chunk.size:
+            self._wide = np.empty(chunk.size)
+        wide = self._wide[: chunk.size].reshape(chunk.shape)
+        np.copyto(wide, chunk)
+        return wide
 
     def store(self, Cj: np.ndarray | None, rows: list[int]) -> int:
         """Freeze Jordan columns on the free rows as the next generation.
 
-        Cj is (length - rank) x g in basis order and the identity on its
-        pivot rows `rows`; those rows move to the front of the free
+        Cj is (length - rank) x g in basis order, reduced, and the identity
+        on its pivot rows `rows`; those rows move to the front of the free
         suffix.  Cj is consumed.  Returns g.
         """
         if not rows:
             return 0
         g = len(rows)
         self._move_to_front(rows, Cj)
-        self.generations.append((self.rank, self.rank + g, Cj[g:].copy()))
+        self.generations.append((self.rank, self.rank + g, Cj[g:].astype(np.int16)))
         self.rank += g
         return g
 
@@ -249,9 +272,10 @@ class _GenerationBasis:
         pivots on b + 32 evenly spaced rows of the m free rows: W, the
         combination of F's columns that is Jordan on the sample, comes
         from the sample stacked over the identity, and F @ W is the new
-        generation at full height.  When fewer than b pivots turn up,
-        the part of F outside that generation's span is absorbed at full
-        height (see the module docstring).  F is consumed.
+        generation at full height, computed and reduced in row chunks.
+        When fewer than b pivots turn up, each chunk is also cleared
+        against its part of that generation, and what is left of F is
+        absorbed at full height (see the module docstring).  F is consumed.
         """
         m, b = F.shape
         if m <= 3 * b:
@@ -266,13 +290,18 @@ class _GenerationBasis:
         g = len(rows)
         if g:
             self._move_to_front(sample[rows].tolist(), F)
-            T = _reduce_mod(F[g:] @ Cs[s:], p)
+            W, top = Cs[s:], F[:g]
+            T = np.empty((m - g, g), dtype=np.int16)
+            for a in range(g, m, _CLEAR_ROWS):
+                rest = F[a : a + _CLEAR_ROWS]
+                chunk = _reduce_mod(rest @ W, p)
+                T[a - g : a - g + len(rest)] = chunk
+                if g < b:  # what the sample missed: F cleared against the new generation
+                    rest -= chunk @ top
             self.generations.append((self.rank, self.rank + g, T))
             self.rank += g
             if g == b:
                 return g
-            # what the sample missed: the rest of F cleared against T
-            F[g:] -= T @ F[:g]
             F = _reduce_mod(F[g:], p)
         if not F.any():
             return g
@@ -280,20 +309,31 @@ class _GenerationBasis:
 
     def _move_to_front(self, rows: list[int], F: np.ndarray) -> None:
         """Bring free rows `rows` (offsets into the free suffix) to its front:
-        in perm, in every stored generation and in F, an array on the free rows."""
+        in perm and inv, in every stored generation and in F, an array on
+        the free rows."""
         r = self.rank
         dest, src = _pivot_moves(rows)
-        self.perm[r + dest] = self.perm[r + src]
+        moved = self.perm[r + src]
+        self.perm[r + dest] = moved
+        self.inv[moved] = r + dest
         for _, end, T in self.generations:
             T[r - end + dest] = T[r - end + src]
         F[dest] = F[src]
 
 
-def basis_bytes(rows: int, cols: int) -> int:
-    """Bound on the basis that the rank of a rows x cols matrix stores:
-    rows*r - r^2/2 float64 entries on the free rows at rank r <= min(rows, cols)."""
+def basis_bytes(rows: int, cols: int, block: int = DEFAULT_BLOCK) -> int:
+    """Bytes that the rank of a rows x cols matrix, streamed in blocks of
+    `block` columns, holds at its peak.
+
+    The int16 basis on the free rows, rows*r - r^2/2 entries at rank
+    r <= min(rows, cols), plus the float64 block working set beside it:
+    the block in hand, its permuted copy, and the clearing scratch, three
+    row chunks of up to _CLEAR_ROWS rows (a widened generation chunk, its
+    product and the reduction's quotient).
+    """
     r = min(rows, cols)
-    return 8 * (rows * r - r * r // 2)
+    w = min(block, cols)
+    return 2 * (rows * r - r * r // 2) + 8 * w * (2 * rows + 3 * min(rows, _CLEAR_ROWS))
 
 
 def rank_from_column_blocks(
@@ -308,9 +348,9 @@ def rank_from_column_blocks(
     Blocks are (n_rows x b) arrays of any numeric dtype and layout with
     entries already in 0..P-1; clear_block casts each to float64 as it
     permutes it.  Only the block in hand is held, never the whole matrix,
-    so peak memory is that block plus the basis on its free rows, at most
-    basis_bytes(n_rows, cols) for cols columns in all.  Stops consuming
-    blocks once the rank hits n_rows.
+    so peak memory is the int16 basis on its free rows plus the block
+    working set, at most basis_bytes(n_rows, cols, b) for cols columns in
+    all.  Stops consuming blocks once the rank hits n_rows.
     """
     if n_rows == 0:
         return 0

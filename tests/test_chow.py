@@ -25,6 +25,7 @@ from chowdefect.gfpoly import (
 )
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
+from test_bolattice import HIGH_WATER, run_fresh
 from test_gflinalg import reference_rank
 
 F = PrimeField(8191)
@@ -117,6 +118,29 @@ def test_budget_guard_charges_the_cold_peak(monkeypatch):
     monkeypatch.setattr(chow, "_ORACLE_BYTES_CAP", peak - 1)
     with pytest.raises(BudgetExceeded):
         terracini_rank(problem, seed=1, field=F)
+
+
+ORACLE_RSS_SCRIPT = HIGH_WATER + """
+import json
+import numpy as np
+from chowdefect import chow
+from chowdefect.gfpoly import PrimeField
+a = np.ones((512, 512))
+(a @ a).sum()  # BLAS allocates its buffers at the first product
+problem = chow.SecantProblem(d=2, n=60, s=200)
+before = high_water()
+chow.terracini_rank(problem, seed=1, field=PrimeField(8191))
+grown = high_water() - before
+print(json.dumps({"grown": grown, "charge": chow.oracle_bytes(problem)}))
+"""
+
+
+def test_wide_oracle_peak_rss_within_its_charge():
+    """The wide case (2,60,200), 1891 x 24200, run in a fresh process with
+    BLAS warmed up, grows the process's peak RSS by no more than
+    oracle_bytes charges for it."""
+    result = run_fresh(ORACLE_RSS_SCRIPT)
+    assert 0 < result["grown"] <= result["charge"], result
 
 
 @pytest.mark.parametrize("d, n, s", [(2, 4, 1), (3, 3, 1), (2, 4, 2), (3, 2, 3), (1, 4, 1), (1, 7, 1)])

@@ -2,6 +2,7 @@ import pytest
 
 import chowdefect.bolattice as bo
 from chowdefect.cli import main
+from chowdefect.gflinalg import basis_bytes
 
 
 def run(capsys, *argv):
@@ -83,12 +84,13 @@ def test_verify_memory_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_memory_cap_counts_concurrent_statements(tmp_path, capsys, monkeypatch):
-    # each t=12 basis (~0.77 MiB) fits a 0.001 GiB cap, but two at once do not
+    # a cap halfway between the larger t=12 price and the two together:
+    # either statement fits it alone, but both at once do not
     monkeypatch.chdir(tmp_path)
-    for branch in ("s1", "s2"):
-        assert bo.plan_statement(bo.config_for(bo.QUATERNARY), 12, branch)["basis_bytes"] < 0.001 * 2**30
+    prices = [bo.plan_statement(bo.config_for(bo.QUATERNARY), 12, b)["basis_bytes"] for b in ("s1", "s2")]
+    cap_gb = (max(prices) + sum(prices)) / 2 / 2**30
     argv = ("verify", "--family", "quaternary", "--t", "12", "--branch", "both",
-            "--seed", "1", "--mem-cap-gb", "0.001")
+            "--seed", "1", "--mem-cap-gb", repr(cap_gb))
     code, _, err = run(capsys, *argv, "--threads", "2")
     assert code == 1
     assert "t=12 s1" in err and "t=12 s2" in err and "--mem-cap-gb" in err
@@ -120,6 +122,9 @@ def test_plan_only_t82_streaming(capsys):
     for row in rows:
         fields = row.split("\t")
         assert fields[7] == "98770"  # ambient rows at the top parameter
+        # basis_mb is the rank's price: ~9.1 GiB of int16 basis, where float64 would take ~36 GiB
+        assert float(fields[11]) == pytest.approx(basis_bytes(98770, int(fields[8])) / 2**20, abs=0.05)
+        assert float(fields[11]) < 10 * 1024
 
 
 def test_schedule_quaternary(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chowdefect.gfpoly import DimensionMismatch
-from chowdefect.gflinalg import DEFAULT_BLOCK, _LEAF_WIDTH, rank_from_column_blocks
+from chowdefect.gflinalg import _CLEAR_ROWS, DEFAULT_BLOCK, _LEAF_WIDTH, rank_from_column_blocks
 
 P = 8191
 
@@ -114,6 +114,23 @@ def test_small_prime_field():
     rng = np.random.default_rng(9)
     A = rng.integers(0, 2, (40, 40))
     assert stream_rank(A, p=2) == reference_rank(A, p=2)
+
+
+def test_int16_basis_at_the_largest_prime():
+    """At p = 32749, the largest admissible prime, most entries are p - 1,
+    so the stored int16 generations hold residues at the top of their
+    range.  The tall case has more than _CLEAR_ROWS rows, so each clearing
+    product and the sampled generation run over several widened chunks;
+    the wide one takes the full-height path.  Repeated columns make both
+    rank-deficient."""
+    p = 32749
+    rng = np.random.default_rng(12)
+    for rows, k, cols, width in ((_CLEAR_ROWS + 76, 60, 110, _LEAF_WIDTH), (120, 110, 300, DEFAULT_BLOCK)):
+        X = np.where(rng.random((rows, k)) < 0.8, p - 1, rng.integers(0, p, (rows, k)))
+        X[:, 0] = p - 1
+        X[-1] = p - 1
+        A = np.hstack([X, X[:, rng.integers(0, k, cols - k)]])[:, rng.permutation(cols)]
+        assert stream_rank(A, p, [width]) == reference_rank(A, p)
 
 
 # ---------------------------------------------------------------------------
