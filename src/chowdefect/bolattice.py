@@ -539,7 +539,7 @@ def verify_statement(
         t=t,
         i=i,
         branch=branch,
-        abundance=abundance(config, i, t, branch),
+        abundance=info["abundance"],
         rows=spec.rows,
         cols=spec.cols,
         expected=expected,

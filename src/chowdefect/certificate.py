@@ -119,8 +119,7 @@ def render(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_outcome(outcome: bolattice.VerificationOutcome, forms=None) -> Certificate:
-    forms = outcome.forms if forms is None else forms
+def from_outcome(outcome: bolattice.VerificationOutcome) -> Certificate:
     return Certificate(
         seed=outcome.seed,
         prime=outcome.prime,
@@ -134,7 +133,7 @@ def from_outcome(outcome: bolattice.VerificationOutcome, forms=None) -> Certific
         nd=bolattice.STATEMENT_ND,
         t=outcome.t,
         ell=PROOF_STEP,
-        forms=list(forms),
+        forms=list(outcome.forms),
         construct_line=f"Constructed T in {outcome.construct_seconds:.3f}s.",
         rank_line=(
             f"Computed the rank of the {outcome.rows} x {outcome.cols} matrix T "
@@ -148,9 +147,9 @@ def from_outcome(outcome: bolattice.VerificationOutcome, forms=None) -> Certific
     )
 
 
-def emit_text(outcome: bolattice.VerificationOutcome, forms=None) -> str:
+def emit_text(outcome: bolattice.VerificationOutcome) -> str:
     """Certificate text for a completed verification outcome."""
-    return render(from_outcome(outcome, forms))
+    return render(from_outcome(outcome))
 
 
 _RE_SEED = re.compile(r"^Using random seed: (\d+)$")

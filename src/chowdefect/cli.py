@@ -9,11 +9,11 @@ fixed header; progress and diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bolattice, certificate
@@ -62,9 +62,15 @@ def _master_seed(args) -> int:
 
 def _mem_cap_bytes(args) -> int:
     if args.mem_cap_gb is not None:
-        gb = args.mem_cap_gb
+        source, text = "--mem-cap-gb", args.mem_cap_gb
     else:
-        gb = float(os.environ.get("CHOWDEFECT_MEM_CAP_GB", "8"))
+        source, text = "CHOWDEFECT_MEM_CAP_GB", os.environ.get("CHOWDEFECT_MEM_CAP_GB", "8")
+    try:
+        gb = float(text)
+    except ValueError:
+        gb = math.nan
+    if not (math.isfinite(gb) and gb > 0):
+        raise UsageError(f"bad {source} value {text!r}: want a finite number of GiB above 0")
     return int(gb * 2**30)
 
 
@@ -81,13 +87,11 @@ def cmd_verify(args) -> int:
     t_lo, t_hi = _parse_t_range(args.t)
     if t_hi > config.t0:
         raise UsageError(f"t beyond {config.t0} is not a base case; nothing to verify there")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     field = _field(args.prime)
     branches = ("s1", "s2") if args.branch == "both" else (args.branch,)
     statements = [(t, b) for t in range(t_lo, t_hi + 1) for b in branches]
-    seed = _master_seed(args)
     cap = _mem_cap_bytes(args)
+    seed = _master_seed(args)
 
     plans = [bolattice.plan_statement(config, t, b) for t, b in statements]
     if args.plan_only:
@@ -95,23 +99,20 @@ def cmd_verify(args) -> int:
         for p in plans:
             print(_schedule_line(p))
         return 0
-    # the rank's price (basis and block working set) dominates memory, and --threads N holds N at once
-    largest = sorted(plans, key=lambda p: p["basis_bytes"], reverse=True)[: args.threads]
-    need = sum(p["basis_bytes"] for p in largest)
-    if need > cap:
-        names = ", ".join(f"t={p['t']} {p['branch']}" for p in largest)
-        needs = "needs" if len(largest) == 1 else "running together need"
+    # the rank's price (basis and block working set) dominates memory; one statement runs at a time
+    largest = max(plans, key=lambda p: p["basis_bytes"])
+    if largest["basis_bytes"] > cap:
         print(
-            f"{names} {needs} ~{need / 2**30:.3g} GiB for the rank against a "
-            f"{cap / 2**30:.3g} GiB cap; raise --mem-cap-gb",
+            f"t={largest['t']} {largest['branch']} needs ~{largest['basis_bytes'] / 2**30:.3g} GiB "
+            f"for the rank against a {cap / 2**30:.3g} GiB cap; raise --mem-cap-gb",
             file=sys.stderr,
         )
         return 1
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def run(p):
+    outcomes = []
+    for p in plans:
         t, b = p["t"], p["branch"]
         outcome = bolattice.verify_statement(
             config, t, b, seed, field=field, retries=args.retries,
@@ -120,16 +121,9 @@ def cmd_verify(args) -> int:
         # on disk as soon as the statement completes, so a crash later in the sweep keeps it
         text = certificate.emit_text(outcome)
         _write_atomically(outdir / f"{outcome.family}_t{outcome.t:03d}_{outcome.branch}.cert", text)
-        return outcome, text
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, plans))
-    else:
-        results = [run(p) for p in plans]
-    if len(results) == 1:
-        sys.stdout.write(results[0][1])
-    outcomes = [outcome for outcome, _ in results]
+        outcomes.append(outcome)
+    if len(outcomes) == 1:
+        sys.stdout.write(text)
 
     all_true = True
     print(SUMMARY_HEADER)
@@ -264,8 +258,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prime", type=int, default=8191)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--mem-cap-gb", type=float, default=None,
+    p.add_argument("--mem-cap-gb", default=None,
                    help="defaults to $CHOWDEFECT_MEM_CAP_GB or 8")
     p.add_argument("--out", default="certificates", help="certificate output directory")
     p.add_argument("--plan-only", action="store_true", help="print the plan and exit")

@@ -45,6 +45,7 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--family", "quaternary", "--t", "83")[0] == 1
     assert run(capsys, "verify", "--family", "nonsense", "--t", "5")[0] == 1
     assert run(capsys, "verify", "--family", "quaternary", "--t", "5", "--prime", "8192")[0] == 1
+    assert run(capsys, "verify", "--family", "quaternary", "--t", "5", "--threads", "2")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
 
 
@@ -83,31 +84,33 @@ def test_verify_memory_cap(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "certificates").exists()  # refused before any statement ran
 
 
-def test_verify_memory_cap_counts_concurrent_statements(tmp_path, capsys, monkeypatch):
-    # a cap halfway between the larger t=12 price and the two together:
-    # either statement fits it alone, but both at once do not
+def test_verify_memory_cap_prices_the_largest_statement(tmp_path, capsys, monkeypatch):
+    # statements run one at a time: the cap holds the largest single price, not a sum
     monkeypatch.chdir(tmp_path)
-    prices = [bo.plan_statement(bo.config_for(bo.QUATERNARY), 12, b)["basis_bytes"] for b in ("s1", "s2")]
-    cap_gb = (max(prices) + sum(prices)) / 2 / 2**30
-    argv = ("verify", "--family", "quaternary", "--t", "12", "--branch", "both",
-            "--seed", "1", "--mem-cap-gb", repr(cap_gb))
-    code, _, err = run(capsys, *argv, "--threads", "2")
+    plans = [bo.plan_statement(bo.config_for(bo.QUATERNARY), 12, b) for b in ("s1", "s2")]
+    largest = max(plans, key=lambda p: p["basis_bytes"])
+    argv = ("verify", "--family", "quaternary", "--t", "12", "--branch", "both", "--seed", "1")
+    code, _, err = run(capsys, *argv, "--mem-cap-gb", repr((largest["basis_bytes"] - 1) / 2**30))
     assert code == 1
-    assert "t=12 s1" in err and "t=12 s2" in err and "--mem-cap-gb" in err
+    assert f"t=12 {largest['branch']} needs" in err and "--mem-cap-gb" in err
     assert not (tmp_path / "certificates").exists()
-    code, _, _ = run(capsys, *argv, "--threads", "1")
+    code, _, _ = run(capsys, *argv, "--mem-cap-gb", repr(largest["basis_bytes"] / 2**30))
     assert code == 0
+    assert len(list((tmp_path / "certificates").glob("quaternary_t012_*.cert"))) == 2
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_verify_nonpositive_threads_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
+@pytest.mark.parametrize("flag, env", [
+    ("inf", None), ("nan", None), ("0", None), ("-1", None), (None, "abc"),
+])
+def test_verify_bad_memory_cap_is_a_usage_error(tmp_path, capsys, monkeypatch, flag, env):
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(
-        capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1",
-        "--seed", "4", "--threads", threads,
-    )
+    if env is not None:
+        monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", env)
+    argv = ["verify", "--family", "quaternary", "--t", "3", "--branch", "s1", "--seed", "4"]
+    code, out, err = run(capsys, *argv, *(["--mem-cap-gb", flag] if flag else []))
     assert code == 1 and out == ""
-    assert err.startswith("usage error: ") and "--threads" in err and "Traceback" not in err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert ("--mem-cap-gb" if flag else "CHOWDEFECT_MEM_CAP_GB") in err
     assert not (tmp_path / "certificates").exists()
 
 
