@@ -47,6 +47,7 @@ from .finite_calculus import (
     make_proof_functions,
 )
 from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
+    RESIDUE_DTYPE,
     LinearForm,
     PrimeField,
     division_map,
@@ -201,8 +202,9 @@ def point_plan(config: LatticeConfig, t: int, branch: str, i: int | None = None)
 # take(src, index[c]) for each row c of index, so column_blocks gathers
 # them straight into the block buffer.  For tangent columns src is a
 # padded partial product and index holds division-map rows, one per x_v.
-# Sources are float64, the dtype the rank engine computes in; every entry
-# is below P < 2^15, so the gather is exact.  The groups hold only the
+# Sources and blocks are RESIDUE_DTYPE (int16), which holds every entry
+# below P < 2^15 exactly; the rank engine widens a block to float64 only
+# as it permutes it into basis order.  The groups hold only the
 # generators that can add to the span (gfpoly.tangent_groups): the dropped
 # ones are exact combinations of kept ones, so the stream has the rank of
 # the full generator set, whose shape (column_count) the certificate
@@ -336,7 +338,7 @@ def _degree_columns(spec: BuildSpec, field: PrimeField):
     # monomial a and subspace j; every G_j has degree ell, so the gather
     # index depends on a alone and is built once for all j
     if spec.i > 0:
-        srcs = [padded(product_of_linear_forms(forms).coeffs, np.float64) for forms in g_forms]
+        srcs = [padded(product_of_linear_forms(forms).coeffs, RESIDUE_DTYPE) for forms in g_forms]
         gj_exps = monomial_exponents(n, ell).astype(np.int64)
         quotients = np.arange(gj_exps.shape[0])
         for row in monomial_exponents(n, t - ell):
@@ -377,21 +379,23 @@ def _dimension_columns(spec: BuildSpec, field: PrimeField):
         block_rows = G[ell * j : ell * (j + 1)]
         for pt in range(spec.mu):
             for partial in products_omitting_each(point_forms("j", pt, j)):
-                yield padded(partial.coeffs, np.float64), block_rows
+                yield padded(partial.coeffs, RESIDUE_DTYPE), block_rows
 
 
 def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK) -> Iterator[np.ndarray]:
     """The statement's kept generators as a stream of (spec.rows x <= block)
-    float64 column blocks; their rank is the rank of the full matrix.
+    RESIDUE_DTYPE column blocks; their rank is the rank of the full matrix.
 
     Columns are generated as the blocks are pulled and written straight
-    into an F-order block buffer; for dimension induction only the rows
-    in Y are written.  Every block gets a fresh buffer, so blocks already
-    handed out never change.  A drained stream whose column count is not
-    kept_column_count(spec) raises AssertionError.
+    into an F-order int16 block buffer, 2 bytes an entry, which the rank
+    widens to float64 only as it permutes the block; for dimension
+    induction only the rows in Y are written.  Every block gets a fresh
+    buffer, so blocks already handed out never change.  A drained stream
+    whose column count is not kept_column_count(spec) raises
+    AssertionError.
     """
     groups = _degree_columns(spec, field) if spec.family == QUATERNARY else _dimension_columns(spec, field)
-    buf = np.empty((spec.rows, block), dtype=np.float64, order="F")
+    buf = np.empty((spec.rows, block), dtype=RESIDUE_DTYPE, order="F")
     k = emitted = 0
     for src, index in groups:
         at = 0
@@ -405,7 +409,7 @@ def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK
             if k == block:
                 yield buf
                 emitted += k
-                buf = np.empty((spec.rows, block), dtype=np.float64, order="F")
+                buf = np.empty((spec.rows, block), dtype=RESIDUE_DTYPE, order="F")
                 k = 0
     if k:
         yield buf[:, :k]

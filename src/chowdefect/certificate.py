@@ -303,7 +303,8 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
     The rank check is independent of the original RNG.  The plan and
     expected-dimension checks run when the branch is known (recorded or
     passed in); the provenance check runs when the substream algorithm
-    matches ours.
+    matches ours.  A recomputed rank above the plan's expected dimension
+    raises bolattice.RankContradiction, as in verify_statement.
     """
     family = family or cert.family or _infer_family(cert)
     branch = branch or cert.branch
@@ -343,6 +344,11 @@ def reverify(cert: Certificate, family: str | None = None, branch: str | None = 
 
     plan_consistent = expected_matches = None
     if plan is not None:
+        if rank > plan["expected"]:
+            raise bolattice.RankContradiction(
+                f"{family} t={cert.t} {branch}: recomputed rank {rank} exceeds the expected "
+                f"dimension {plan['expected']}, an upper bound"
+            )
         plan_consistent = (plan["i"], plan["eta"], plan["mu"]) == (cert.i, eta, mu)
         expected_matches = plan["expected"] == cert.expected
 

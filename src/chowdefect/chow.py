@@ -15,13 +15,13 @@ rank of all their tangent columns, streamed into
 gflinalg.rank_from_column_blocks one point's block at a time, so that
 only the block in hand and the rank's basis are held.  A tall case, with
 more rows than the s(dn+1) columns, is the exception: its blocks are
-stacked and the transpose is ranked, whose basis vectors are s(dn+1)
-entries long instead of C(n+d,d).  By semicontinuity a rank
-equal to the expected affine dimension certifies nondefectivity, while a
-smaller rank proves nothing (small field or unlucky points), so it is
-only ever reported as inconclusive evidence unless the case is one of
-the known defective quadric cases, whose true dimension has a closed
-form.
+stacked, one point at a time, into one int16 matrix and the transpose
+is ranked, whose basis vectors are s(dn+1) entries long instead of
+C(n+d,d).  By semicontinuity a rank equal to the expected affine
+dimension certifies nondefectivity, while a smaller rank proves nothing
+(small field or unlucky points), so it is only ever reported as
+inconclusive evidence unless the case is one of the known defective
+quadric cases, whose true dimension has a closed form.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from .finite_calculus import binomial
 from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
+    RESIDUE_DTYPE,
     BudgetExceeded,
     LinearForm,
     PrimeField,
@@ -92,7 +93,7 @@ def expdim_secant(p: SecantProblem) -> int:
 
 def tangent_columns(point: ChowPoint, field: PrimeField) -> np.ndarray:
     """Generators of the tangent space at the cone point, as the columns of
-    one F-order float64 block.
+    one F-order RESIDUE_DTYPE (int16) block.
 
     For each factor position b and each variable x_v, the coefficient
     vector of x_v * prod_{g != b} l_g, without the d - 1 that
@@ -115,16 +116,17 @@ def sample_point(sampler: FormSampler, d: int, n: int, index: int) -> ChowPoint:
 
 def oracle_bytes(problem: SecantProblem) -> int:
     """What terracini_rank holds at its peak: the rank's own price,
-    gflinalg.basis_bytes (its basis and block working set), plus the
-    columns held beside it twice, as built and as copied (one point's
-    block in a wide case, the whole matrix in a tall one), and the
-    division map, of n+1 <= dn+1 entries per row."""
+    gflinalg.basis_bytes (its basis and block working set), plus one
+    point's block beside it, as taken and as stacked (int16, 2 bytes an
+    entry each), with the division map, of n+1 <= dn+1 intp entries per
+    row.  A tall case also holds its int16 stack of all the columns."""
     rows = monomial_count(problem.n, problem.d)
     width = problem.d * problem.n + 1
     cols = problem.s * width
+    point = (2 + 2 + 8) * rows * width
     if rows > cols:  # the transpose is ranked, in blocks of the default width
-        return gflinalg.basis_bytes(cols, rows) + 3 * 8 * rows * cols
-    return gflinalg.basis_bytes(rows, cols, width) + 3 * 8 * rows * width
+        return gflinalg.basis_bytes(cols, rows) + 2 * rows * cols + point
+    return gflinalg.basis_bytes(rows, cols, width) + point
 
 
 def terracini_rank(problem: SecantProblem, seed: int, field: PrimeField) -> int:
@@ -135,7 +137,8 @@ def terracini_rank(problem: SecantProblem, seed: int, field: PrimeField) -> int:
     _ORACLE_BYTES_CAP.
     """
     rows = monomial_count(problem.n, problem.d)
-    cols = problem.s * (problem.d * problem.n + 1)
+    width = problem.d * problem.n + 1
+    cols = problem.s * width
     tall = rows > cols
     ranked = (cols, rows) if tall else (rows, cols)
     held = oracle_bytes(problem)
@@ -146,7 +149,9 @@ def terracini_rank(problem: SecantProblem, seed: int, field: PrimeField) -> int:
     sampler = FormSampler(seed, field)
     blocks = (tangent_columns(sample_point(sampler, problem.d, problem.n, i), field) for i in range(problem.s))
     if tall:
-        stacked = np.vstack([block.T for block in blocks])
+        stacked = np.empty((cols, rows), dtype=RESIDUE_DTYPE)
+        for i, block in enumerate(blocks):
+            stacked[i * width : (i + 1) * width] = block.T
         blocks = (stacked[:, a : a + gflinalg.DEFAULT_BLOCK] for a in range(0, rows, gflinalg.DEFAULT_BLOCK))
     return gflinalg.rank_from_column_blocks(blocks, ranked[0], field.modulus, total_cols=ranked[1])
 

@@ -12,8 +12,8 @@ contiguous suffix.  A generation is exactly zero on every earlier pivot
 row and the identity on its own, so it is stored only on the rows below
 its pivot block, and both clearing and pivot extraction touch only the
 rows still free.  Its entries are residues below P < 2^15, so each
-generation is stored as int16, and the stored basis never exceeds
-2 * (n*r - r^2/2) bytes for n rows and rank r.
+generation is stored as int16 (gfpoly.RESIDUE_DTYPE), and the stored
+basis never exceeds 2 * (n*r - r^2/2) bytes for n rows and rank r.
 
 Pivots of a tall block are sought on a sample of its rows.  When the
 cleared block F has m free rows and b < m/3 columns, s = b + 32 rows
@@ -35,16 +35,16 @@ elimination.  The rank stays exact:
 
 The sample decides only how fast the rank is found, never its value.
 
-All bulk arithmetic runs in float64 BLAS calls on integers.  Permuting
-an incoming column block into basis order, in float64, is its only
-copy; a stored generation is widened to float64 one row chunk at a
-time, into one scratch buffer, just before its product.  Entries are
-kept in 0..P-1 with P < 2^15 and reduction is delayed: a cleared block
-accumulates at most rank products of two reduced values, and the
-sampled products have inner dimension b < m, so every partial result
-stays below 2^53 where float64 is exact.  The computed rank is
-therefore the exact rank over Z_P, independent of BLAS threading or
-scheduling.
+All bulk arithmetic runs in float64 BLAS calls on integers.  Column
+blocks arrive as int16, and permuting one into basis order is both its
+only copy and the one place it is widened to float64; a stored
+generation is widened one row chunk at a time, into one scratch buffer,
+just before its product.  Entries are kept in 0..P-1 with P < 2^15 and
+reduction is delayed: a cleared block accumulates at most rank products
+of two reduced values, and the sampled products have inner dimension
+b < m, so every partial result stays below 2^53 where float64 is exact.
+The computed rank is therefore the exact rank over Z_P, independent of
+BLAS threading or scheduling.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gfpoly import MAX_PRIME, DimensionMismatch
+from .gfpoly import MAX_PRIME, RESIDUE_DTYPE, DimensionMismatch
 
 DEFAULT_BLOCK = 256
 
@@ -222,14 +222,15 @@ class _GenerationBasis:
     def clear_block(self, B: np.ndarray) -> np.ndarray:
         """The free rows of block B, cleared against all generations and reduced.
 
-        B is (length x b) in input row order and is left untouched; the
-        result is a new (length - rank) x b float64 array in basis order.
-        Permuting B into basis order is its one copy: a scatter through
-        the inverse permutation, which casts any dtype on the way and, from
-        an F-order block, runs 3x faster than a row gather.  Each
-        generation's product runs in row chunks, each widened to float64
-        in one reused buffer, and so does the final reduction: every
-        temporary is a chunk, not a block.
+        B is (length x b) in input row order, int16 from the builders, and
+        is left untouched; the result is a new (length - rank) x b float64
+        array in basis order.  Permuting B into basis order is its one copy
+        and the one place it is widened to float64: a scatter through the
+        inverse permutation, which casts on the way and, from an F-order
+        block, runs 3x faster than a row gather.  Each generation's product
+        runs in row chunks, each widened to float64 in one reused buffer,
+        and so does the final reduction: every temporary is a chunk, not a
+        block.
         """
         p = self.p
         Bp = np.empty(B.shape, dtype=np.float64)
@@ -261,7 +262,7 @@ class _GenerationBasis:
             return 0
         g = len(rows)
         self._move_to_front(rows, Cj)
-        self.generations.append((self.rank, self.rank + g, Cj[g:].astype(np.int16)))
+        self.generations.append((self.rank, self.rank + g, Cj[g:].astype(RESIDUE_DTYPE)))
         self.rank += g
         return g
 
@@ -291,7 +292,7 @@ class _GenerationBasis:
         if g:
             self._move_to_front(sample[rows].tolist(), F)
             W, top = Cs[s:], F[:g]
-            T = np.empty((m - g, g), dtype=np.int16)
+            T = np.empty((m - g, g), dtype=RESIDUE_DTYPE)
             for a in range(g, m, _CLEAR_ROWS):
                 rest = F[a : a + _CLEAR_ROWS]
                 chunk = _reduce_mod(rest @ W, p)
@@ -326,14 +327,14 @@ def basis_bytes(rows: int, cols: int, block: int = DEFAULT_BLOCK) -> int:
     `block` columns, holds at its peak.
 
     The int16 basis on the free rows, rows*r - r^2/2 entries at rank
-    r <= min(rows, cols), plus the float64 block working set beside it:
-    the block in hand, its permuted copy, and the clearing scratch, three
-    row chunks of up to _CLEAR_ROWS rows (a widened generation chunk, its
-    product and the reduction's quotient).
+    r <= min(rows, cols), plus the block working set beside it: the int16
+    block in hand, its float64 permuted copy, and the float64 clearing
+    scratch, three row chunks of up to _CLEAR_ROWS rows (a widened
+    generation chunk, its product and the reduction's quotient).
     """
     r = min(rows, cols)
     w = min(block, cols)
-    return 2 * (rows * r - r * r // 2) + 8 * w * (2 * rows + 3 * min(rows, _CLEAR_ROWS))
+    return 2 * (rows * r - r * r // 2) + w * (2 * rows + 8 * rows + 8 * 3 * min(rows, _CLEAR_ROWS))
 
 
 def rank_from_column_blocks(
@@ -345,12 +346,14 @@ def rank_from_column_blocks(
 ) -> int:
     """Rank over Z_P of the matrix whose columns arrive in blocks.
 
-    Blocks are (n_rows x b) arrays of any numeric dtype and layout with
-    entries already in 0..P-1; clear_block casts each to float64 as it
-    permutes it.  Only the block in hand is held, never the whole matrix,
-    so peak memory is the int16 basis on its free rows plus the block
-    working set, at most basis_bytes(n_rows, cols, b) for cols columns in
-    all.  Stops consuming blocks once the rank hits n_rows.
+    Blocks are (n_rows x b) arrays of entries already in 0..P-1, of any
+    layout.  The builders hand int16 (RESIDUE_DTYPE), which holds every
+    residue exactly; any numeric dtype that does is accepted, as
+    clear_block casts each block to float64 as it permutes it.  Only the
+    block in hand is held, never the whole matrix, so peak memory is the
+    int16 basis on its free rows plus the block working set, at most
+    basis_bytes(n_rows, cols, b) for cols columns in all.  Stops
+    consuming blocks once the rank hits n_rows.
     """
     if n_rows == 0:
         return 0

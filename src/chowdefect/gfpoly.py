@@ -55,6 +55,7 @@ class BudgetExceeded(RuntimeError):
 _ORACLE_BUDGET = 10**7  # cap on (n+1)^d for the tensor-expansion oracle
 
 MAX_PRIME = 1 << 15  # entries must fit 16-bit storage
+RESIDUE_DTYPE = np.int16  # holds every residue below MAX_PRIME exactly
 
 
 def _is_prime(p: int) -> bool:
@@ -336,7 +337,7 @@ def tangent_groups(
     """The tangent columns x_v * base * prod_{g != h} forms[g] that can add
     to their span, as gather groups (src, index): the group's columns are
     take(src, index[r]) for each row r, where src is the padded partial
-    product in float64 and index is rows of the division map G.
+    product as RESIDUE_DTYPE and index is rows of the division map G.
 
     With F = base * prod(forms) and c the coefficients of forms[h],
     sum_v c_v x_v * F / forms[h] = F for every h.  So once F is in the
@@ -348,7 +349,7 @@ def tangent_groups(
     The kept rows are basic slices of G, so no index is copied.
     """
     for h, partial in enumerate(products_omitting_each(forms, base)):
-        src = padded(partial.coeffs, np.float64)
+        src = padded(partial.coeffs, RESIDUE_DTYPE)
         if h == 0 and not product_in_span:
             yield src, G
             continue

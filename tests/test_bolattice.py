@@ -11,7 +11,7 @@ import pytest
 
 import chowdefect.bolattice as bo
 from chowdefect.finite_calculus import Quasipolynomial, binomial
-from chowdefect.gfpoly import PrimeField
+from chowdefect.gfpoly import RESIDUE_DTYPE, PrimeField
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
 from chowdefect.chow import SecantProblem, terracini_rank
@@ -620,5 +620,29 @@ def test_column_blocks_stream_is_the_kept_generators():
     for spec in pruning_specs():
         kept = [col for kind, key, col in full_generator_columns(spec) if not dropped(spec, kind, key)]
         stream = np.hstack(list(bo.column_blocks(spec, F, 7)))
-        assert stream.dtype == np.float64
+        assert stream.dtype == RESIDUE_DTYPE
         assert np.array_equal(stream, np.column_stack(kept))
+
+
+@pytest.mark.parametrize("family", (bo.QUATERNARY, bo.CUBICS))
+@pytest.mark.parametrize("t", (2, 16, 28))
+def test_int16_stream_equals_a_float64_build(monkeypatch, family, t):
+    """The int16 stream equals, value for value, the stream built with
+    float64 sources and buffers from the same forms, at the largest prime,
+    whose residues come closest to the int16 maximum.  Cubics t=28 s2
+    gathers only the rows in Y."""
+    from chowdefect import gfpoly
+
+    field = PrimeField(32749)
+    cfg = bo.config_for(family)
+    plan = bo.point_plan(cfg, t, "s2")
+    spec = bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(20260809, field))
+    assert (spec.row_keep is not None) == (family == bo.CUBICS and t == 28)
+    narrow = list(bo.column_blocks(spec, field))
+    monkeypatch.setattr(bo, "RESIDUE_DTYPE", np.float64)
+    monkeypatch.setattr(gfpoly, "RESIDUE_DTYPE", np.float64)
+    wide = list(bo.column_blocks(spec, field))
+    assert len(narrow) == len(wide)
+    for a, b in zip(narrow, wide):
+        assert a.dtype == RESIDUE_DTYPE and b.dtype == np.float64
+        assert np.array_equal(a, b)

@@ -126,6 +126,15 @@ def test_tamper_detection():
     assert not report.ok
 
 
+def test_recomputed_rank_above_expected_is_a_contradiction(monkeypatch):
+    """A recomputed rank above the plan's expected dimension, an upper
+    bound, raises as in verify_statement instead of reporting a mismatch."""
+    out, text = emit(QUAT, 6, "s2", seed=3)
+    monkeypatch.setattr(cert, "rank_from_column_blocks", lambda *args, **kwargs: out.expected + 1)
+    with pytest.raises(bo.RankContradiction, match="quaternary t=6 s2"):
+        cert.reverify(cert.parse(text))
+
+
 def test_parse_errors():
     with pytest.raises(cert.ParseError) as err:
         cert.parse("Using random seed: 5\nNeed a 3 x 4 matrix.\n")

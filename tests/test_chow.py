@@ -16,6 +16,7 @@ from chowdefect.chow import (
 )
 from chowdefect.finite_calculus import binomial
 from chowdefect.gfpoly import (
+    RESIDUE_DTYPE,
     BudgetExceeded,
     LinearForm,
     PrimeField,
@@ -127,7 +128,7 @@ from chowdefect import chow
 from chowdefect.gfpoly import PrimeField
 a = np.ones((512, 512))
 (a @ a).sum()  # BLAS allocates its buffers at the first product
-problem = chow.SecantProblem(d=2, n=60, s=200)
+problem = chow.SecantProblem(*PROBLEM)
 before = high_water()
 chow.terracini_rank(problem, seed=1, field=PrimeField(8191))
 grown = high_water() - before
@@ -139,21 +140,30 @@ def test_wide_oracle_peak_rss_within_its_charge():
     """The wide case (2,60,200), 1891 x 24200, run in a fresh process with
     BLAS warmed up, grows the process's peak RSS by no more than
     oracle_bytes charges for it."""
-    result = run_fresh(ORACLE_RSS_SCRIPT)
+    result = run_fresh("PROBLEM = (2, 60, 200)" + ORACLE_RSS_SCRIPT)
     assert 0 < result["grown"] <= result["charge"], result
 
 
-@pytest.mark.parametrize("d, n, s", [(2, 4, 1), (3, 3, 1), (2, 4, 2), (3, 2, 3), (1, 4, 1), (1, 7, 1)])
+def test_tall_oracle_peak_rss_within_its_charge():
+    """The tall case (3,40,10), 12341 x 1210, whose transpose is ranked from
+    one int16 stack, grows a fresh process's peak RSS by no more than
+    oracle_bytes charges for it."""
+    result = run_fresh("PROBLEM = (3, 40, 10)" + ORACLE_RSS_SCRIPT)
+    assert 0 < result["grown"] <= result["charge"], result
+
+
+@pytest.mark.parametrize("d, n, s", [(2, 4, 1), (3, 3, 1), (3, 5, 2), (2, 4, 2), (3, 2, 3), (1, 4, 1), (1, 7, 1)])
 def test_terracini_rank_on_both_sides_of_the_transpose(monkeypatch, d, n, s):
-    """Tall (15 x 9, 20 x 10), wide (15 x 18, 10 x 21) and square ((n+1) x (n+1))
-    cases: the oracle's rank equals the reference rank of the stacked tangent
-    blocks, and a tall case ranks the transpose, one with s(dn+1) rows."""
+    """Tall (15 x 9, 20 x 10, and 56 x 32 stacked from two points), wide
+    (15 x 18, 10 x 21) and square ((n+1) x (n+1)) cases: the oracle's rank
+    equals the reference rank of the stacked tangent blocks, and a tall
+    case ranks the transpose, one with s(dn+1) rows."""
     seed = 41
     sampler = FormSampler(seed, F)
     blocks = [tangent_columns(sample_point(sampler, d, n, i), F) for i in range(s)]
     rows, width = monomial_count(n, d), d * n + 1
     for block in blocks:
-        assert block.dtype == np.float64 and block.flags.f_contiguous
+        assert block.dtype == RESIDUE_DTYPE and block.flags.f_contiguous
         assert block.shape == (rows, width)
     seen = []
 

@@ -221,6 +221,20 @@ def test_reverify_internal_error_exits_1(tmp_path, capsys, monkeypatch):
     assert "TypeError" in err and "rebuild mismatch" not in err
 
 
+def test_reverify_rank_contradiction_exits_1(tmp_path, capsys, monkeypatch):
+    # a recomputed rank above the expected dimension is an error, not a mismatch
+    import chowdefect.certificate as cert
+
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "verify", "--family", "quaternary", "--t", "6", "--branch", "s2", "--seed", "12")
+    path = tmp_path / "certificates" / "quaternary_t006_s2.cert"
+    expected = bo.plan_statement(bo.config_for("quaternary"), 6, "s2")["expected"]
+    monkeypatch.setattr(cert, "rank_from_column_blocks", lambda *args, **kwargs: expected + 1)
+    code, _, err = run(capsys, "reverify", str(path))
+    assert code == 1
+    assert "RankContradiction" in err and "rebuild mismatch" not in err
+
+
 def test_selfcheck_quick(capsys):
     code, out, _ = run(capsys, "selfcheck", "--quick")
     assert code == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chowdefect.gfpoly import DimensionMismatch
+from chowdefect.gfpoly import RESIDUE_DTYPE, DimensionMismatch
 from chowdefect.gflinalg import _CLEAR_ROWS, DEFAULT_BLOCK, _LEAF_WIDTH, rank_from_column_blocks
 
 P = 8191
@@ -27,13 +27,14 @@ def reference_rank(M, p=P):
     return r
 
 
-def stream_rank(A, p=P, widths=(DEFAULT_BLOCK,)):
-    """rank_from_column_blocks over A cut into blocks of the given widths, cycled."""
+def stream_rank(A, p=P, widths=(DEFAULT_BLOCK,), dtype=np.float64):
+    """rank_from_column_blocks over A cut into blocks of the given widths,
+    cycled, each a copy of the given dtype."""
     A = np.asarray(A)
     blocks, at, i = [], 0, 0
     while at < A.shape[1]:
         w = widths[i % len(widths)]
-        blocks.append(A[:, at : at + w].astype(np.float64))
+        blocks.append(A[:, at : at + w].astype(dtype))
         at, i = at + w, i + 1
     return rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1])
 
@@ -116,21 +117,38 @@ def test_small_prime_field():
     assert stream_rank(A, p=2) == reference_rank(A, p=2)
 
 
-def test_int16_basis_at_the_largest_prime():
-    """At p = 32749, the largest admissible prime, most entries are p - 1,
-    so the stored int16 generations hold residues at the top of their
-    range.  The tall case has more than _CLEAR_ROWS rows, so each clearing
-    product and the sampled generation run over several widened chunks;
-    the wide one takes the full-height path.  Repeated columns make both
+LARGEST_PRIME = 32749  # the largest prime below MAX_PRIME = 2^15
+
+
+def top_heavy_matrices(p):
+    """(A, width): a tall matrix over _CLEAR_ROWS rows, streamed in leaf-wide
+    blocks, and a wide one in default blocks.  About 80% of the entries,
+    a whole column and a whole row are p - 1; repeated columns make both
     rank-deficient."""
-    p = 32749
     rng = np.random.default_rng(12)
     for rows, k, cols, width in ((_CLEAR_ROWS + 76, 60, 110, _LEAF_WIDTH), (120, 110, 300, DEFAULT_BLOCK)):
         X = np.where(rng.random((rows, k)) < 0.8, p - 1, rng.integers(0, p, (rows, k)))
         X[:, 0] = p - 1
         X[-1] = p - 1
-        A = np.hstack([X, X[:, rng.integers(0, k, cols - k)]])[:, rng.permutation(cols)]
-        assert stream_rank(A, p, [width]) == reference_rank(A, p)
+        yield np.hstack([X, X[:, rng.integers(0, k, cols - k)]])[:, rng.permutation(cols)], width
+
+
+def test_int16_basis_at_the_largest_prime():
+    """At the largest admissible prime the stored int16 generations hold
+    residues at the top of their range.  In the tall case each clearing
+    product and the sampled generation run over several widened chunks;
+    the wide one takes the full-height path."""
+    for A, width in top_heavy_matrices(LARGEST_PRIME):
+        assert stream_rank(A, LARGEST_PRIME, [width]) == reference_rank(A, LARGEST_PRIME)
+
+
+def test_int16_blocks_at_the_largest_prime():
+    """The same matrices handed as int16 blocks, the dtype the builders
+    hand: p - 1 = 32748 sits just below the int16 maximum of 32767, and
+    the rank is the reference rank."""
+    for A, width in top_heavy_matrices(LARGEST_PRIME):
+        assert A.max() == LARGEST_PRIME - 1 <= np.iinfo(RESIDUE_DTYPE).max
+        assert stream_rank(A, LARGEST_PRIME, [width], RESIDUE_DTYPE) == reference_rank(A, LARGEST_PRIME)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chowdefect.gfpoly import (
+    RESIDUE_DTYPE,
     BudgetExceeded,
     DimensionMismatch,
     EmptyProduct,
@@ -322,7 +323,7 @@ def test_property_tangent_columns_match_prefix_fold(case):
     point = ChowPoint(tuple(forms))
     got = tangent_columns(point, field)
     want = prefix_fold_tangent_columns(point, field)
-    assert got.dtype == np.float64 and got.flags.f_contiguous
+    assert got.dtype == RESIDUE_DTYPE and got.flags.f_contiguous
     assert got.shape == (want[0].size, point.d * point.n + 1) and len(want) == got.shape[1]
     for g, w in zip(got.T, want):
         assert np.array_equal(g, w)
