@@ -297,16 +297,21 @@ def check_provenance(cert: Certificate, spec: bolattice.BuildSpec) -> str:
     return "confirmed"
 
 
-def reverify(cert: Certificate, family: str | None = None, branch: str | None = None) -> ReverifyReport:
+def reverify(cert: Certificate, branch: str | None = None) -> ReverifyReport:
     """Rebuild the matrix from the recorded forms and recompute its rank.
 
-    The rank check is independent of the original RNG.  The plan and
-    expected-dimension checks run when the branch is known (recorded or
-    passed in); the provenance check runs when the substream algorithm
-    matches ours.  A recomputed rank above the plan's expected dimension
-    raises bolattice.RankContradiction, as in verify_statement.
+    The family is the recorded one, or else the one the form labels imply.
+    A passed branch fills in one the certificate does not record; one that
+    contradicts the record raises ValueError.  The rank check is
+    independent of the original RNG.  The plan and expected-dimension
+    checks run when the branch is known; the provenance check runs when
+    the substream algorithm matches ours.  A recomputed rank above the
+    plan's expected dimension raises bolattice.RankContradiction, as in
+    verify_statement.
     """
-    family = family or cert.family or _infer_family(cert)
+    if branch is not None and cert.branch is not None and branch != cert.branch:
+        raise ValueError(f"branch {branch} passed, but the certificate records branch {cert.branch}")
+    family = cert.family or _infer_family(cert)
     branch = branch or cert.branch
     config = bolattice.config_for(family)
     if cert.ell != config.ell:

@@ -91,7 +91,7 @@ def expdim_secant(p: SecantProblem) -> int:
     return min(p.s * (p.d * p.n + 1), binomial(p.n + p.d, p.d)) - 1
 
 
-def tangent_columns(point: ChowPoint, field: PrimeField) -> np.ndarray:
+def tangent_columns(point: ChowPoint) -> np.ndarray:
     """Generators of the tangent space at the cone point, as the columns of
     one F-order RESIDUE_DTYPE (int16) block.
 
@@ -147,7 +147,7 @@ def terracini_rank(problem: SecantProblem, seed: int, field: PrimeField) -> int:
             f"oracle for {rows} x {cols} would hold {held} bytes, over the cap of {_ORACLE_BYTES_CAP}"
         )
     sampler = FormSampler(seed, field)
-    blocks = (tangent_columns(sample_point(sampler, problem.d, problem.n, i), field) for i in range(problem.s))
+    blocks = (tangent_columns(sample_point(sampler, problem.d, problem.n, i)) for i in range(problem.s))
     if tall:
         stacked = np.empty((cols, rows), dtype=RESIDUE_DTYPE)
         for i, block in enumerate(blocks):

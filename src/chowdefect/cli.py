@@ -61,16 +61,12 @@ def _master_seed(args) -> int:
 
 
 def _mem_cap_bytes(args) -> int:
-    if args.mem_cap_gb is not None:
-        source, text = "--mem-cap-gb", args.mem_cap_gb
-    else:
-        source, text = "CHOWDEFECT_MEM_CAP_GB", os.environ.get("CHOWDEFECT_MEM_CAP_GB", "8")
     try:
-        gb = float(text)
+        gb = float(args.mem_cap_gb)
     except ValueError:
         gb = math.nan
     if not (math.isfinite(gb) and gb > 0):
-        raise UsageError(f"bad {source} value {text!r}: want a finite number of GiB above 0")
+        raise UsageError(f"bad --mem-cap-gb value {args.mem_cap_gb!r}: want a finite number of GiB above 0")
     return int(gb * 2**30)
 
 
@@ -94,11 +90,6 @@ def cmd_verify(args) -> int:
     seed = _master_seed(args)
 
     plans = [bolattice.plan_statement(config, t, b) for t, b in statements]
-    if args.plan_only:
-        print(SCHEDULE_HEADER)
-        for p in plans:
-            print(_schedule_line(p))
-        return 0
     # the rank's price (basis and block working set) dominates memory; one statement runs at a time
     largest = max(plans, key=lambda p: p["basis_bytes"])
     if largest["basis_bytes"] > cap:
@@ -145,19 +136,16 @@ def _write_atomically(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _schedule_line(p) -> str:
-    return (
-        f"{p['family']}\t{p['t']}\t{p['i']}\t{p['branch']}\t{p['points']}\t{p['eta']}\t{p['mu']}\t"
-        f"{p['rows']}\t{p['cols']}\t{p['expected']}\t{p['abundance']}\t"
-        f"{p['basis_bytes'] / 2**20:.1f}"
-    )
-
-
 def cmd_schedule(args) -> int:
     config = bolattice.config_for(args.family)
     print(SCHEDULE_HEADER)
     for stmt in bolattice.base_case_schedule(config, cap=args.cap):
-        print(_schedule_line(bolattice.plan_statement(config, stmt.t, stmt.branch)))
+        p = bolattice.plan_statement(config, stmt.t, stmt.branch)
+        print(
+            f"{p['family']}\t{p['t']}\t{p['i']}\t{p['branch']}\t{p['points']}\t{p['eta']}\t{p['mu']}\t"
+            f"{p['rows']}\t{p['cols']}\t{p['expected']}\t{p['abundance']}\t"
+            f"{p['basis_bytes'] / 2**20:.1f}"
+        )
     return 0
 
 
@@ -198,7 +186,7 @@ def cmd_reverify(args) -> int:
         print(f"parse failure: {exc}", file=sys.stderr)
         return 1
     try:
-        report = certificate.reverify(cert, family=args.family, branch=args.branch)
+        report = certificate.reverify(cert, branch=args.branch)
     except ValueError as exc:
         # DimensionMismatch and the refusals of reverify: the certificate breaks
         # its contract.  Any other exception is an error of this program.
@@ -231,7 +219,7 @@ def _newton_power_violations(config, t_samples) -> list[str]:
 
 
 def cmd_selfcheck(args) -> int:
-    t_max = 60 if args.quick else 200
+    t_max = 200
     violations: list[str] = []
     for family in (bolattice.QUATERNARY, bolattice.CUBICS):
         config = bolattice.config_for(family)
@@ -258,10 +246,8 @@ def build_parser() -> _Parser:
     p.add_argument("--prime", type=int, default=8191)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--mem-cap-gb", default=None,
-                   help="defaults to $CHOWDEFECT_MEM_CAP_GB or 8")
+    p.add_argument("--mem-cap-gb", default="8", help="GiB the rank of the largest statement may take")
     p.add_argument("--out", default="certificates", help="certificate output directory")
-    p.add_argument("--plan-only", action="store_true", help="print the plan and exit")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("schedule", help="print every base case the induction needs")
@@ -279,12 +265,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reverify", help="recheck a certificate from its recorded forms")
     p.add_argument("path")
-    p.add_argument("--family", default=None, choices=(bolattice.QUATERNARY, bolattice.CUBICS))
-    p.add_argument("--branch", default=None, choices=("s1", "s2"))
+    p.add_argument("--branch", default=None, choices=("s1", "s2"), help="for a certificate that records none")
     p.set_defaults(func=cmd_reverify)
 
     p = sub.add_parser("selfcheck", help="run the arithmetic identity suite")
-    p.add_argument("--quick", action="store_true", help="scan t <= 60 instead of 200")
     p.set_defaults(func=cmd_selfcheck)
 
     return parser
@@ -297,13 +281,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, NonIntegralValue, BudgetExceeded, bolattice.RankContradiction, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
-        # stdout went away (e.g. piped into head); not our error
+        # stdout went away (e.g. piped into head); not our error.  Before OSError, its base class.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (DomainError, NonIntegralValue, BudgetExceeded, bolattice.RankContradiction, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

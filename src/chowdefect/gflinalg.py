@@ -53,7 +53,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .gfpoly import MAX_PRIME, RESIDUE_DTYPE, DimensionMismatch
+from .gfpoly import RESIDUE_DTYPE, DimensionMismatch, PrimeField
 
 DEFAULT_BLOCK = 256
 
@@ -209,8 +209,6 @@ class _GenerationBasis:
     def __init__(self, length: int, p: int):
         if length * (p - 1) ** 2 >= 2**52:
             raise OverflowError("matrix too large for exact float64 accumulation")
-        if p > MAX_PRIME:
-            raise OverflowError("residues too large for int16 storage")
         self.length = length
         self.p = p
         self.perm = np.arange(length)
@@ -353,8 +351,10 @@ def rank_from_column_blocks(
     block in hand is held, never the whole matrix, so peak memory is the
     int16 basis on its free rows plus the block working set, at most
     basis_bytes(n_rows, cols, b) for cols columns in all.  Stops
-    consuming blocks once the rank hits n_rows.
+    consuming blocks once the rank hits n_rows.  A modulus that is not a
+    prime up to gfpoly.MAX_PRIME raises ValueError, before any block.
     """
+    PrimeField(modulus)
     if n_rows == 0:
         return 0
     basis = _GenerationBasis(n_rows, modulus)

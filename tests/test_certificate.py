@@ -288,6 +288,28 @@ def test_unknown_passed_branch_refused():
         cert.reverify(cert.parse(EXTERNAL_CERT), branch="s9")
 
 
+def test_passed_branch_contradicting_the_record_refused():
+    # a passed branch only fills in one the certificate does not record
+    _, text = emit(CUB, 6, "s1", seed=4)
+    c = cert.parse(text)
+    assert cert.reverify(c, branch="s1").ok
+    with pytest.raises(ValueError, match="branch s2 passed, but the certificate records branch s1"):
+        cert.reverify(c, branch="s2")
+
+
+def test_certificate_without_forms_reverifies():
+    # cubics t=1 s1 is 4 x 0: no labels to infer the family from, and both families plan it alike
+    _, text = emit(CUB, 1, "s1", seed=4)
+    body, _, trailer = text.partition("\n\n")
+    assert "family=cubics" in trailer and "Need a 4 x 0 matrix." in body
+    c = cert.parse(body + "\n")
+    assert c.family is None and c.branch is None and c.forms == []
+    report = cert.reverify(c, branch="s1")
+    assert report.recomputed_rank == 0
+    assert report.plan_consistent and report.expected_matches
+    assert report.ok
+
+
 @pytest.mark.parametrize("statement", [
     "T_0(7, 5, 27) is TRUE (SUPERABUNDANT)",
     "T_0(7, 5, 27) is TRUE (SUBABUNDANT)",

@@ -44,7 +44,7 @@ def test_secant_problem_validation():
 
 
 def tangent_rank(point):
-    block = tangent_columns(point, F)
+    block = tangent_columns(point)
     return rank_from_column_blocks(iter([block]), block.shape[0], F.modulus)
 
 
@@ -160,7 +160,7 @@ def test_terracini_rank_on_both_sides_of_the_transpose(monkeypatch, d, n, s):
     case ranks the transpose, one with s(dn+1) rows."""
     seed = 41
     sampler = FormSampler(seed, F)
-    blocks = [tangent_columns(sample_point(sampler, d, n, i), F) for i in range(s)]
+    blocks = [tangent_columns(sample_point(sampler, d, n, i)) for i in range(s)]
     rows, width = monomial_count(n, d), d * n + 1
     for block in blocks:
         assert block.dtype == RESIDUE_DTYPE and block.flags.f_contiguous

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import chowdefect.bolattice as bo
@@ -13,6 +18,7 @@ def run(capsys, *argv):
 
 def test_verify_single_statement(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", "abc")  # not read: --mem-cap-gb alone sets the cap
     code, out, _ = run(
         capsys, "verify", "--family", "quaternary", "--t", "5", "--branch", "s1",
         "--prime", "8191", "--seed", "1452337571",
@@ -47,6 +53,25 @@ def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--family", "quaternary", "--t", "5", "--prime", "8192")[0] == 1
     assert run(capsys, "verify", "--family", "quaternary", "--t", "5", "--threads", "2")[0] == 1
     assert run(capsys, "nonsense")[0] == 1
+    for argv in (
+        ("verify", "--family", "quaternary", "--t", "82", "--plan-only"),
+        ("reverify", "any.cert", "--family", "cubics"),
+        ("selfcheck", "--quick"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("usage error:")
+
+
+def test_verify_out_naming_a_file_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    code, out, err = run(
+        capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1", "--seed", "4",
+        "--out", "taken",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_verify_unverified_exit_code(tmp_path, capsys, monkeypatch):
@@ -99,26 +124,36 @@ def test_verify_memory_cap_prices_the_largest_statement(tmp_path, capsys, monkey
     assert len(list((tmp_path / "certificates").glob("quaternary_t012_*.cert"))) == 2
 
 
+def test_closed_stdout_pipe_exits_0():
+    # BrokenPipeError is an OSError: main must catch it before it reports OSErrors as errors
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    # unbuffered, so the first line written inside main meets the closed pipe
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "chowdefect", "schedule", "--family", "quaternary"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0 and b"Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, env", [
-    ("inf", None), ("nan", None), ("0", None), ("-1", None), (None, "abc"),
+    ("inf", None), ("nan", None), ("0", None), ("-1", None), ("0", "8"),
 ])
 def test_verify_bad_memory_cap_is_a_usage_error(tmp_path, capsys, monkeypatch, flag, env):
+    # env: a CHOWDEFECT_MEM_CAP_GB value in the environment, which must not stand in for the flag
     monkeypatch.chdir(tmp_path)
     if env is not None:
         monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", env)
     argv = ["verify", "--family", "quaternary", "--t", "3", "--branch", "s1", "--seed", "4"]
-    code, out, err = run(capsys, *argv, *(["--mem-cap-gb", flag] if flag else []))
+    code, out, err = run(capsys, *argv, "--mem-cap-gb", flag)
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and "Traceback" not in err
-    assert ("--mem-cap-gb" if flag else "CHOWDEFECT_MEM_CAP_GB") in err
+    assert "--mem-cap-gb" in err
     assert not (tmp_path / "certificates").exists()
 
 
-def test_plan_only_t82_streaming(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--family", "quaternary", "--t", "82", "--branch", "both",
-        "--plan-only", "--seed", "1",
-    )
+def test_schedule_prices_the_t82_rank(capsys):
+    code, out, _ = run(capsys, "schedule", "--family", "quaternary")
     assert code == 0
     rows = [ln for ln in out.splitlines() if ln.startswith("quaternary\t82")]
     assert len(rows) == 2
@@ -180,6 +215,10 @@ def test_reverify_cycle(tmp_path, capsys, monkeypatch):
     run(capsys, "verify", "--family", "quaternary", "--t", "6", "--branch", "s2", "--seed", "12")
     path = tmp_path / "certificates" / "quaternary_t006_s2.cert"
     assert run(capsys, "reverify", str(path))[0] == 0
+    assert run(capsys, "reverify", str(path), "--branch", "s2")[0] == 0
+    code, _, err = run(capsys, "reverify", str(path), "--branch", "s1")
+    assert code == 2
+    assert "branch s1 passed" in err and "records branch s2" in err
 
     text = path.read_text()
     tampered = tmp_path / "tampered.cert"
@@ -235,26 +274,10 @@ def test_reverify_rank_contradiction_exits_1(tmp_path, capsys, monkeypatch):
     assert "RankContradiction" in err and "rebuild mismatch" not in err
 
 
-def test_selfcheck_quick(capsys):
-    code, out, _ = run(capsys, "selfcheck", "--quick")
-    assert code == 0
-    assert "selfcheck: OK" in out
-
-
 def test_selfcheck_full(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0
     assert "t=200" in out
-
-
-def test_mem_cap_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", "0.001")
-    code, _, err = run(capsys, "verify", "--family", "quaternary", "--t", "30", "--branch", "s1")
-    assert code == 1 and "--mem-cap-gb" in err
-    monkeypatch.setenv("CHOWDEFECT_MEM_CAP_GB", "8")
-    code, _, _ = run(capsys, "verify", "--family", "quaternary", "--t", "3", "--branch", "s1", "--seed", "1")
-    assert code == 0
 
 
 def test_verify_rank_contradiction_exits_1(tmp_path, capsys, monkeypatch):

@@ -58,6 +58,15 @@ def test_from_columns_validation():
     assert stream_rank(np.array([[1, 2, 3]] * 3).T) == 1
 
 
+@pytest.mark.parametrize("modulus", [0, 1, 4, 6, 32771])
+def test_modulus_must_be_a_storable_prime(modulus):
+    # over Z_4 or Z_6 elimination returns a number that is no rank; refused before any block,
+    # and before the empty-matrix shortcut
+    for rows in (2, 0):
+        with pytest.raises(ValueError, match=str(modulus)):
+            rank_from_column_blocks(iter([np.eye(2)[:rows]]), rows, modulus)
+
+
 def test_rank_invariances():
     rng = np.random.default_rng(3)
     A = (rng.integers(0, P, (15, 4)) @ rng.integers(0, P, (4, 18))) % P

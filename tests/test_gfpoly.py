@@ -321,7 +321,7 @@ def prefix_fold_tangent_columns(point, field):
 def test_property_tangent_columns_match_prefix_fold(case):
     field, forms, _ = case
     point = ChowPoint(tuple(forms))
-    got = tangent_columns(point, field)
+    got = tangent_columns(point)
     want = prefix_fold_tangent_columns(point, field)
     assert got.dtype == RESIDUE_DTYPE and got.flags.f_contiguous
     assert got.shape == (want[0].size, point.d * point.n + 1) and len(want) == got.shape[1]
