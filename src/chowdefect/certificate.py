@@ -28,12 +28,14 @@ rank of that full matrix.
 
 Reverification rebuilds the matrix from the recorded forms alone — not
 from the seed — and recomputes the rank, so a certificate stands on its
-own even for a consumer with a different random number generator.  It
-refuses a statement line whose step, fixed argument or abundance label
-disagrees with the plan.  Both
-reverification and the provenance check follow bolattice.form_plan: the
-recorded labels must be exactly the plan's labels, and the plan gives
-each label its substream key and support.  When the trailer names our
+own even for a consumer with a different random number generator.
+First it checks the certificate against the plan of its statement
+(bolattice.plan_statement for the recorded branch, or, without a
+trailer, for the branch whose form labels are the recorded ones) and
+refuses any step, fixed argument, label, order, abundance, shape or
+expected dimension that is not the plan's.  Both reverification and the
+provenance check follow bolattice.form_plan: the plan gives each label
+its substream key and support.  When the trailer names our
 substream algorithm, the forms are additionally re-derived from the seed
 and compared byte for byte, which catches any
 tampering with recorded coefficients (a single flipped coefficient still
@@ -249,31 +251,11 @@ def _infer_family(cert: Certificate) -> str:
     return bolattice.QUATERNARY
 
 
-def _point_counts(cert: Certificate, family: str) -> tuple[int, int]:
-    """(eta, mu) as the labels imply them: the distinct point indices (always
-    the first index) among generic-point and restricted-point labels.  Other
-    labels are left to the comparison with the form plan."""
-    generic, restricted = set(), set()
-    for label, _ in cert.forms:
-        base, _, idx = label.partition("_")
-        idx = idx[1:-1].split(",")
-        if family == bolattice.QUATERNARY:
-            points = {"l": generic, "f": restricted}.get(base)
-        else:
-            points = {1: generic, 2: restricted}.get(len(idx))
-        if points is not None:
-            points.add(idx[0])
-    return len(generic), len(restricted)
-
-
 @dataclass
 class ReverifyReport:
     recomputed_rank: int
     recorded_found: int
-    recorded_expected: int
     rank_matches: bool
-    plan_consistent: bool | None
-    expected_matches: bool | None
     provenance: str          # confirmed / mismatch / unknown
     verdict_confirmed: bool
     ok: bool
@@ -297,83 +279,80 @@ def check_provenance(cert: Certificate, spec: bolattice.BuildSpec) -> str:
     return "confirmed"
 
 
-def reverify(cert: Certificate, branch: str | None = None) -> ReverifyReport:
-    """Rebuild the matrix from the recorded forms and recompute its rank.
+def _statement_plan(cert: Certificate, config: bolattice.LatticeConfig):
+    """The plan of the certificate's statement and its form plan: those of
+    the recorded branch, or, with none recorded, of the first branch whose
+    form labels are the recorded ones.  Any other labels raise
+    DimensionMismatch, an unknown branch ValueError."""
+    recorded = Counter(label for label, _ in cert.forms)
+    branches = bolattice.BRANCHES if cert.branch is None else (cert.branch,)
+    for branch in branches:
+        plan = bolattice.plan_statement(config, cert.t, branch)
+        planned = list(bolattice.form_plan(config.family, cert.t, plan["i"], config.ell, plan["eta"], plan["mu"]))
+        wanted = Counter(label for label, _, _ in planned)
+        if recorded == wanted:
+            return plan, planned
+    raise DimensionMismatch(
+        f"recorded forms are not the {config.family} t={cert.t} {' or '.join(branches)} plan "
+        f"({branch}: extra or repeated {sorted(recorded - wanted)[:3]}, missing {sorted(wanted - recorded)[:3]})"
+    )
 
-    The family is the recorded one, or else the one the form labels imply.
-    A passed branch fills in one the certificate does not record; one that
-    contradicts the record raises ValueError.  The rank check is
-    independent of the original RNG.  The plan and expected-dimension
-    checks run when the branch is known; the provenance check runs when
-    the substream algorithm matches ours.  A recomputed rank above the
+
+def reverify(cert: Certificate) -> ReverifyReport:
+    """Check a certificate against its plan, rebuild the matrix from the
+    recorded forms and recompute its rank.
+
+    The family is the recorded one, or else the one the form labels imply;
+    the branch is the recorded one, or else the one whose plan has the
+    recorded labels.  Everything the plan fixes -- step, fixed argument,
+    labels, order, abundance, shape and expected dimension -- must agree
+    with it, or DimensionMismatch is raised before any rank work.  The rank
+    check is independent of the original RNG; the provenance check runs
+    when the substream algorithm matches ours.  A recomputed rank above the
     plan's expected dimension raises bolattice.RankContradiction, as in
     verify_statement.
     """
-    if branch is not None and cert.branch is not None and branch != cert.branch:
-        raise ValueError(f"branch {branch} passed, but the certificate records branch {cert.branch}")
     family = cert.family or _infer_family(cert)
-    branch = branch or cert.branch
     config = bolattice.config_for(family)
     if cert.ell != config.ell:
         raise DimensionMismatch(f"statement step {cert.ell} but the {family} lattice steps by {config.ell}")
     if cert.nd != bolattice.STATEMENT_ND:
         raise DimensionMismatch(f"statement argument {cert.nd} but every statement fixes {bolattice.STATEMENT_ND}")
-    # an unknown branch raises here, before any rebuild
-    plan = None if branch is None else bolattice.plan_statement(config, cert.t, branch)
-    if plan is not None and cert.abundance != plan["abundance"]:
-        raise DimensionMismatch(
-            f"statement says {cert.abundance}ABUNDANT but the plan is {plan['abundance']}ABUNDANT"
+    plan, planned = _statement_plan(cert, config)
+    mismatches = [
+        f"{what} {got} but the plan's is {want}"
+        for what, got, want in (
+            ("statement order", cert.i, plan["i"]),
+            ("statement abundance", f"{cert.abundance}ABUNDANT", f"{plan['abundance']}ABUNDANT"),
+            ("shape", f"{cert.rows} x {cert.cols}", f"{plan['rows']} x {plan['cols']}"),
+            ("expected dimension", cert.expected, plan["expected"]),
         )
-    field = PrimeField(cert.prime)
+        if got != want
+    ]
+    if mismatches:
+        raise DimensionMismatch(f"{family} t={cert.t} {plan['branch']}: " + "; ".join(mismatches))
 
-    eta, mu = _point_counts(cert, family)
-    planned = list(bolattice.form_plan(family, cert.t, cert.i, config.ell, eta, mu))
-    recorded = Counter(label for label, _ in cert.forms)
-    wanted = Counter(label for label, _, _ in planned)
-    if recorded != wanted:
-        raise DimensionMismatch(
-            f"recorded forms are not the {family} plan for i={cert.i}, eta={eta}, mu={mu}: "
-            f"extra or repeated {sorted(recorded - wanted)[:3]}, missing {sorted(wanted - recorded)[:3]}"
-        )
     coeffs = dict(cert.forms)
     source = RecordedForms({key: np.asarray(coeffs[label], dtype=np.int64) for label, key, _ in planned})
-    spec = bolattice.prepare_build(config, cert.t, cert.i, eta, mu, source)
-    if (spec.rows, spec.cols) != (cert.rows, cert.cols):
-        raise DimensionMismatch(
-            f"recorded shape {cert.rows} x {cert.cols} but forms rebuild {spec.rows} x {spec.cols}"
-        )
+    spec = bolattice.prepare_build(config, cert.t, plan["i"], plan["eta"], plan["mu"], source)
     rank = rank_from_column_blocks(
-        bolattice.column_blocks(spec, field), spec.rows, cert.prime,
+        bolattice.column_blocks(spec, PrimeField(cert.prime)), spec.rows, cert.prime,
         total_cols=bolattice.kept_column_count(spec),
     )
-
-    plan_consistent = expected_matches = None
-    if plan is not None:
-        if rank > plan["expected"]:
-            raise bolattice.RankContradiction(
-                f"{family} t={cert.t} {branch}: recomputed rank {rank} exceeds the expected "
-                f"dimension {plan['expected']}, an upper bound"
-            )
-        plan_consistent = (plan["i"], plan["eta"], plan["mu"]) == (cert.i, eta, mu)
-        expected_matches = plan["expected"] == cert.expected
+    if rank > plan["expected"]:
+        raise bolattice.RankContradiction(
+            f"{family} t={cert.t} {plan['branch']}: recomputed rank {rank} exceeds the expected "
+            f"dimension {plan['expected']}, an upper bound"
+        )
 
     provenance = check_provenance(cert, spec)
     rank_matches = rank == cert.found
     verdict_confirmed = rank_matches and cert.verdict == "TRUE"
-    ok = (
-        verdict_confirmed
-        and provenance != "mismatch"
-        and plan_consistent in (None, True)
-        and expected_matches in (None, True)
-    )
     return ReverifyReport(
         recomputed_rank=rank,
         recorded_found=cert.found,
-        recorded_expected=cert.expected,
         rank_matches=rank_matches,
-        plan_consistent=plan_consistent,
-        expected_matches=expected_matches,
         provenance=provenance,
         verdict_confirmed=verdict_confirmed,
-        ok=ok,
+        ok=verdict_confirmed and provenance != "mismatch",
     )

@@ -186,7 +186,7 @@ def cmd_reverify(args) -> int:
         print(f"parse failure: {exc}", file=sys.stderr)
         return 1
     try:
-        report = certificate.reverify(cert, branch=args.branch)
+        report = certificate.reverify(cert)
     except ValueError as exc:
         # DimensionMismatch and the refusals of reverify: the certificate breaks
         # its contract.  Any other exception is an error of this program.
@@ -265,7 +265,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reverify", help="recheck a certificate from its recorded forms")
     p.add_argument("path")
-    p.add_argument("--branch", default=None, choices=("s1", "s2"), help="for a certificate that records none")
     p.set_defaults(func=cmd_reverify)
 
     p = sub.add_parser("selfcheck", help="run the arithmetic identity suite")

@@ -209,7 +209,6 @@ class _GenerationBasis:
     def __init__(self, length: int, p: int):
         if length * (p - 1) ** 2 >= 2**52:
             raise OverflowError("matrix too large for exact float64 accumulation")
-        self.length = length
         self.p = p
         self.perm = np.arange(length)
         self.inv = np.arange(length)

@@ -124,15 +124,15 @@ def lex_positions(exps: np.ndarray, n: int, d: int) -> np.ndarray:
     return _ranks_of_exponents(np.asarray(exps, dtype=np.int64), n, d)
 
 
-@lru_cache(maxsize=None)
 def monomial_exponents(n: int, d: int) -> np.ndarray:
     """Exponent matrix (count x n+1) of all degree-d monomials, lex order.
 
     Built from the last variable back: the degree-e monomials in
     x_j..x_n are e_j = e, e-1, ..., 0 glued onto the degree e - e_j
     monomials in x_{j+1}..x_n.  Only the matrices of one variable count
-    are held while the next are built, and only the result is cached,
-    so a cold build holds about twice the result at its peak.
+    are held while the next are built, so a build holds about twice the
+    result at its peak.  Nothing is cached: a statement reads each matrix
+    once, and division_map, which is cached, reads it once per map.
     """
     if d < 0:
         raise IndexOutOfRange(f"degree must be >= 0, got {d}")
@@ -162,8 +162,8 @@ def division_map(n: int, k: int) -> np.ndarray:
     Multiplying by x_j maps the degree-k monomials one-to-one onto the
     degree-(k+1) monomials that x_j divides, so row j scatters 0, 1, 2,
     ... to the lex positions of the degree-k exponents with exponent j
-    raised by one.  Only the degree-k exponent matrix is read, so the
-    map caches no exponent matrix of degree k+1.
+    raised by one.  Only the degree-k exponent matrix is read, and it is
+    dropped once the map is built.
     """
     exps = monomial_exponents(n, k).astype(np.int64)
     out = np.full((n + 1, monomial_count(n, k + 1)), exps.shape[0], dtype=np.intp)

@@ -19,7 +19,6 @@ from chowdefect.gfpoly import (
     LinearForm,
     PrimeField,
     division_map,
-    monomial_exponents,
     naive_product_oracle,
     product_of_linear_forms,
 )
@@ -203,7 +202,6 @@ def test_criterion_7_determinism_and_tamper_rejection():
 def test_criterion_8_kernel_performance_floor():
     """82 random quaternary linear forms multiply out in under 1.5 s
     single-threaded, including cold index-map construction."""
-    monomial_exponents.cache_clear()
     division_map.cache_clear()
     sampler = FormSampler(88, F)
     forms = [LinearForm(3, sampler.linear_form("o", 3, i=0, gamma=g), F) for g in range(82)]

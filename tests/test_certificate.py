@@ -5,7 +5,6 @@ import pytest
 
 import chowdefect.bolattice as bo
 import chowdefect.certificate as cert
-from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.gfpoly import DimensionMismatch, PrimeField
 from chowdefect.sampling import SUBSTREAM_ALGORITHM, FormSampler, RecordedForms
 
@@ -63,12 +62,40 @@ def test_external_certificate_roundtrips_exactly():
 
 
 def test_external_certificate_reverifies():
-    report = cert.reverify(cert.parse(EXTERNAL_CERT), branch="s1")
+    report = cert.reverify(cert.parse(EXTERNAL_CERT))
     assert report.recomputed_rank == 48
     assert report.rank_matches and report.verdict_confirmed
-    assert report.plan_consistent and report.expected_matches
     assert report.provenance == "unknown"
     assert report.ok
+
+
+def two_point_certificate():
+    """EXTERNAL_CERT without its third point, edited to the shape and rank
+    two points give: a consistent certificate, but not of the plan's
+    statement, which has three."""
+    lines = [ln for ln in EXTERNAL_CERT.splitlines() if not ln.startswith("l_{2,")]
+    text = "\n".join(lines) + "\n"
+    return text.replace("56 x 60", "56 x 40").replace("Found 48 vs. 48", "Found 32 vs. 32")
+
+
+def test_trailerless_certificate_missing_a_point_refused(tmp_path, capsys):
+    from chowdefect.cli import main
+
+    text = two_point_certificate()
+    assert "T_0(3, 5, 27) is TRUE" in text and text.count("56 x 40") == 2
+    with pytest.raises(DimensionMismatch, match="not the quaternary t=5 s1 or s2 plan"):
+        cert.reverify(cert.parse(text))
+    path = tmp_path / "two_points.cert"
+    path.write_text(text)
+    assert main(["reverify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("rebuild mismatch: ")
+
+
+def test_trailerless_expected_off_the_plan_refused():
+    # the plan of quaternary t=5 s1 expects 48; a certificate that claims 47 is not its statement
+    text = EXTERNAL_CERT.replace("Found 48 vs. 48", "Found 47 vs. 47")
+    with pytest.raises(DimensionMismatch, match="expected dimension 47 but the plan's is 48"):
+        cert.reverify(cert.parse(text))
 
 
 def emit(config, t, branch, seed):
@@ -177,46 +204,54 @@ def test_missing_form_detected():
     lines = [ln for ln in EXTERNAL_CERT.splitlines() if not ln.startswith("l_{2,4}")]
     text = "\n".join(lines) + "\n"
     with pytest.raises((DimensionMismatch, cert.ParseError)):
-        cert.reverify(cert.parse(text), branch="s1")
+        cert.reverify(cert.parse(text))
 
 
 def test_shape_mismatch_detected():
     text = EXTERNAL_CERT.replace("56 x 60", "56 x 64")
-    with pytest.raises(DimensionMismatch):
-        cert.reverify(cert.parse(text), branch="s1")
+    with pytest.raises(DimensionMismatch, match="shape 56 x 64"):
+        cert.reverify(cert.parse(text))
 
 
-def small_certificate(config, t, i, eta, mu, seed):
-    """Certificate text for an order-i statement with eta generic and mu
-    restricted points, at a size that ranks in well under a second."""
+def plan_certificate(config, t, branch, seed, points=None):
+    """Certificate text for the statement (t, branch) with forms drawn from
+    the seed and no rank computed: it claims the plan's expected rank as
+    found, which reverify then checks.  `points` = (i, eta, mu) replaces
+    the plan's order and point counts."""
+    plan = bo.plan_statement(config, t, branch)
+    i, eta, mu = points or (plan["i"], plan["eta"], plan["mu"])
     spec = bo.prepare_build(config, t, i, eta, mu, FormSampler(seed, F))
-    rank = rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, 8191, total_cols=spec.cols)
     outcome = bo.VerificationOutcome(
-        family=config.family, t=t, i=i, branch="s1", abundance="SUB",
-        rows=spec.rows, cols=spec.cols, expected=rank, found=rank, verdict="TRUE",
+        family=config.family, t=t, i=i, branch=branch, abundance=plan["abundance"],
+        rows=spec.rows, cols=spec.cols, expected=plan["expected"], found=plan["expected"], verdict="TRUE",
         seed=seed, prime=8191, resamples=0, retries=0,
-        construct_seconds=0.0, rank_seconds=0.0, attempts=((seed, rank),),
+        construct_seconds=0.0, rank_seconds=0.0, attempts=((seed, plan["expected"]),),
         forms=tuple((label, tuple(int(v) for v in c)) for label, c in spec.forms),
     )
-    return cert.emit_text(outcome), rank
+    return cert.emit_text(outcome)
 
 
 def test_low_order_quaternary_certificate_reverifies():
-    # a degree-28 matrix with one subspace block, one generic and one
-    # restricted point: small enough to rebuild quickly while exercising
-    # the g/l/f role vocabulary end to end
-    text, rank = small_certificate(QUAT, 28, 1, 1, 1, seed=555)
+    # the degree-28 s2 plan has one subspace block and one restricted point,
+    # so it exercises the g/l/f role vocabulary end to end
+    text = plan_certificate(QUAT, 28, "s2", seed=555)
     assert re.search(r"^g_\{0,26\} = ", text, re.M)
     assert re.search(r"^f_\{0,0,0\} = ", text, re.M)
     c = cert.parse(text)
     assert c.substream == SUBSTREAM_ALGORITHM
-    report = cert.reverify(c, branch=None)
-    assert report.recomputed_rank == rank
+    report = cert.reverify(c)
+    assert report.recomputed_rank == 4495
     assert report.provenance == "confirmed"
-    assert report.rank_matches
-    # the recorded counts are not the real plan for branch s1 at t=28, and
-    # reverification notices exactly that
-    assert report.plan_consistent is False
+    assert report.ok
+
+
+@pytest.mark.parametrize("config", [QUAT, CUB], ids=["quaternary", "cubics"])
+def test_point_counts_off_the_plan_refused(config):
+    # one generic and one restricted point is a real order-1 matrix, but
+    # not the s1 statement at t=28, which plans 52 generic points and none restricted
+    text = plan_certificate(config, 28, "s1", seed=555, points=(1, 1, 1))
+    with pytest.raises(DimensionMismatch, match=f"not the {config.family} t=28 s1 plan"):
+        cert.reverify(cert.parse(text))
 
 
 @pytest.mark.parametrize("extra", [
@@ -228,7 +263,7 @@ def test_labels_outside_the_plan_rejected(extra):
     lines = EXTERNAL_CERT.splitlines()
     lines.insert(2, extra)
     with pytest.raises(DimensionMismatch):
-        cert.reverify(cert.parse("\n".join(lines) + "\n"), branch="s1")
+        cert.reverify(cert.parse("\n".join(lines) + "\n"))
 
 
 @pytest.mark.parametrize("config, t", [(QUAT, 56), (CUB, 60)], ids=["quaternary", "cubics"])
@@ -252,7 +287,7 @@ def test_recorded_forms_rebuild_the_sampled_spec_at_order_2(config, t):
 
 @pytest.mark.parametrize("config, label", [(QUAT, "f_{0,0,0}"), (CUB, "k_{0,0}")], ids=["quaternary", "cubics"])
 def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
-    text, _ = small_certificate(config, 28, 1, 1, 1, seed=808)
+    text = plan_certificate(config, 28, "s2", seed=808)
     target = next(ln for ln in text.splitlines() if ln.startswith(label + " = "))
     body = target.split("[")[1].rstrip("]").split()
     # change a coordinate inside the support, so the form still fits its subspace
@@ -267,7 +302,7 @@ def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
 def test_edited_statement_step_rejected(config):
     # the step fixes which factors each subspace and restricted point has, so
     # a statement line with any other step is not the certificate's statement
-    text, _ = small_certificate(config, 28, 1, 1, 1, seed=909)
+    text = plan_certificate(config, 28, "s2", seed=909)
     assert "T_1(" in text and ", 28, 27) is TRUE" in text
     with pytest.raises(DimensionMismatch, match="step 26"):
         cert.reverify(cert.parse(text.replace(", 28, 27) is TRUE", ", 28, 26) is TRUE")))
@@ -283,30 +318,16 @@ def test_unknown_family_or_branch_refused(line, bad):
         cert.reverify(cert.parse(text.replace(line, bad)))
 
 
-def test_unknown_passed_branch_refused():
-    with pytest.raises(ValueError, match="s9"):
-        cert.reverify(cert.parse(EXTERNAL_CERT), branch="s9")
-
-
-def test_passed_branch_contradicting_the_record_refused():
-    # a passed branch only fills in one the certificate does not record
-    _, text = emit(CUB, 6, "s1", seed=4)
-    c = cert.parse(text)
-    assert cert.reverify(c, branch="s1").ok
-    with pytest.raises(ValueError, match="branch s2 passed, but the certificate records branch s1"):
-        cert.reverify(c, branch="s2")
-
-
 def test_certificate_without_forms_reverifies():
-    # cubics t=1 s1 is 4 x 0: no labels to infer the family from, and both families plan it alike
+    # cubics t=1 s1 is 4 x 0: no labels to infer the family or branch from, so
+    # it is checked as quaternary s1, which both families plan alike
     _, text = emit(CUB, 1, "s1", seed=4)
     body, _, trailer = text.partition("\n\n")
     assert "family=cubics" in trailer and "Need a 4 x 0 matrix." in body
     c = cert.parse(body + "\n")
     assert c.family is None and c.branch is None and c.forms == []
-    report = cert.reverify(c, branch="s1")
+    report = cert.reverify(c)
     assert report.recomputed_rank == 0
-    assert report.plan_consistent and report.expected_matches
     assert report.ok
 
 
@@ -319,7 +340,7 @@ def test_edited_statement_line_rejected(statement):
     text = EXTERNAL_CERT.replace("T_0(3, 5, 27) is TRUE (SUBABUNDANT)", statement)
     assert statement in text
     with pytest.raises(DimensionMismatch, match="statement"):
-        cert.reverify(cert.parse(text), branch="s1")
+        cert.reverify(cert.parse(text))
 
 
 def test_zero_recorded_form_rejected():
@@ -327,4 +348,4 @@ def test_zero_recorded_form_rejected():
     text = EXTERNAL_CERT.replace("l_{1,2} = [4744 1652 3436  940]", "l_{1,2} = [   0    0    0    0]")
     assert "[   0    0    0    0]" in text
     with pytest.raises(DimensionMismatch, match="zero"):
-        cert.reverify(cert.parse(text), branch="s1")
+        cert.reverify(cert.parse(text))

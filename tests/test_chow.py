@@ -22,7 +22,6 @@ from chowdefect.gfpoly import (
     PrimeField,
     division_map,
     monomial_count,
-    monomial_exponents,
 )
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
@@ -107,7 +106,6 @@ def test_budget_guard_charges_the_cold_peak(monkeypatch):
     """A d=2 call that builds its exponent matrices and division maps
     peaks, in traced allocations, within the guard's charge: a cap one
     byte below that peak refuses it."""
-    monomial_exponents.cache_clear()
     division_map.cache_clear()
     problem = SecantProblem(d=2, n=60, s=1)
     tracemalloc.start()

@@ -76,12 +76,10 @@ def test_rank_is_lex_increasing():
     assert tuples == sorted(tuples)
 
 
-def test_monomial_exponents_caches_only_the_requested_matrix():
-    """A cold build keeps one cache entry, not one per sub-result, and its
-    rows are the monomials x_{v1}...x_{vd}, v1 <= ... <= vd, in tuple order."""
-    monomial_exponents.cache_clear()
+def test_monomial_exponents_rows_in_tuple_order():
+    """The rows are the monomials x_{v1}...x_{vd}, v1 <= ... <= vd, in tuple
+    order, as a read-only int32 matrix."""
     exps = monomial_exponents(40, 3)
-    assert monomial_exponents.cache_info().currsize == 1
     want = np.zeros((monomial_count(40, 3), 41), dtype=np.int32)
     for r, tup in enumerate(itertools.combinations_with_replacement(range(41), 3)):
         for v in tup:
