@@ -116,6 +116,12 @@ class LatticeConfig:
             raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
         return self.s1 if branch == "s1" else self.s2
 
+    @property
+    def t_first(self) -> int:
+        """The first base case: quaternary forms start at degree 2 (degree 1
+        is the ambient space itself), cubics at t = 1."""
+        return 2 if self.family == QUATERNARY else 1
+
     def K(self, t: int) -> int:
         if t < 1:
             raise ValueError(f"t must be >= 1, got {t}")
@@ -562,11 +568,10 @@ def verify_statement(
 
 def base_case_schedule(config: LatticeConfig, cap: int | None = None) -> list[Statement]:
     """Every base case the induction needs, in increasing t, s1 before s2."""
-    t_start = 2 if config.family == QUATERNARY else 1
     t_end = config.t0 if cap is None else min(cap, config.t0)
     return [
         Statement(t, config.K(t), branch)
-        for t in range(t_start, t_end + 1)
+        for t in range(config.t_first, t_end + 1)
         for branch in BRANCHES
     ]
 

@@ -83,6 +83,8 @@ def cmd_verify(args) -> int:
     t_lo, t_hi = _parse_t_range(args.t)
     if t_hi > config.t0:
         raise UsageError(f"t beyond {config.t0} is not a base case; nothing to verify there")
+    if t_lo < config.t_first:
+        raise UsageError(f"{args.family} base cases start at t={config.t_first}; nothing to verify at t={t_lo}")
     field = _field(args.prime)
     branches = ("s1", "s2") if args.branch == "both" else (args.branch,)
     statements = [(t, b) for t in range(t_lo, t_hi + 1) for b in branches]

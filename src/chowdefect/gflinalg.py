@@ -35,6 +35,20 @@ elimination.  The rank stays exact:
 
 The sample decides only how fast the rank is found, never its value.
 
+Incoming blocks are cleared and absorbed in panels whose width depends
+on the row count alone (_panel_width).  Finding a b-wide panel's pivots
+and Jordan-normalizing them costs about 2*m*b^2 flops on m free rows,
+which over a rank of n rows is about 1.5*b/n of the clearing work: 40%
+at n = 969 for b = 256, 8% at 4495 and 0.4% at 98,770.  So below 2048
+rows panels are _LEAF_WIDTH = 64 wide and their pivots come straight
+from the leaf, at full height or on the sampled stack.  From 2048 rows
+on they are DEFAULT_BLOCK = 256 wide, as narrow panels then cost more
+in clearing (one product of inner dimension 64 per generation for every
+later panel) than they save.  Best-of-5 rank times of quaternary
+statements (2-core x86-64, OpenBLAS on one thread), 64- vs 256-wide
+panels: 51 vs 76 ms at 969 rows, 187 vs 227 ms at 1771, 525 vs 519 ms
+at 2600, 2.54 vs 2.25 s at 4495; the crossover lies near 2600 rows.
+
 All bulk arithmetic runs in float64 BLAS calls on integers.  Column
 blocks arrive as int16, and permuting one into basis order is both its
 only copy and the one place it is widened to float64; a stored
@@ -61,6 +75,7 @@ ProgressHook = Callable[[int, int, int], None]  # (cols_done, cols_total, rank_s
 
 
 _LEAF_WIDTH = 64  # up to this width, column-at-a-time elimination beats matmuls
+_PANEL_ROWS = 2048  # from this many rows on, blocks are absorbed in DEFAULT_BLOCK-wide panels
 _SAMPLE_EXTRA = 32  # a tall block of width b seeks its pivots on b + 32 of its rows
 _CLEAR_ROWS = 1024  # clearing products and reductions run over this many rows at a time
 
@@ -319,19 +334,29 @@ class _GenerationBasis:
         F[dest] = F[src]
 
 
+def _panel_width(rows: int) -> int:
+    """Columns cleared and absorbed at a time in a matrix of `rows` rows:
+    _LEAF_WIDTH below _PANEL_ROWS rows, DEFAULT_BLOCK from there on (see
+    the module docstring)."""
+    return _LEAF_WIDTH if rows < _PANEL_ROWS else DEFAULT_BLOCK
+
+
 def basis_bytes(rows: int, cols: int, block: int = DEFAULT_BLOCK) -> int:
     """Bytes that the rank of a rows x cols matrix, streamed in blocks of
     `block` columns, holds at its peak.
 
     The int16 basis on the free rows, rows*r - r^2/2 entries at rank
-    r <= min(rows, cols), plus the block working set beside it: the int16
-    block in hand, its float64 permuted copy, and the float64 clearing
-    scratch, three row chunks of up to _CLEAR_ROWS rows (a widened
-    generation chunk, its product and the reduction's quotient).
+    r <= min(rows, cols), plus the working set beside it: the int16 block
+    in hand and, for the panel being absorbed (_panel_width(rows) columns,
+    64 below 2048 rows and 256 from there on, at most the block), its
+    float64 permuted copy and the float64 clearing scratch, three row
+    chunks of up to _CLEAR_ROWS rows (a widened generation chunk, its
+    product and the reduction's quotient).
     """
     r = min(rows, cols)
     w = min(block, cols)
-    return 2 * (rows * r - r * r // 2) + w * (2 * rows + 8 * rows + 8 * 3 * min(rows, _CLEAR_ROWS))
+    panel = min(_panel_width(rows), w)
+    return 2 * (rows * r - r * r // 2) + 2 * rows * w + panel * (8 * rows + 8 * 3 * min(rows, _CLEAR_ROWS))
 
 
 def rank_from_column_blocks(
@@ -346,10 +371,11 @@ def rank_from_column_blocks(
     Blocks are (n_rows x b) arrays of entries already in 0..P-1, of any
     layout.  The builders hand int16 (RESIDUE_DTYPE), which holds every
     residue exactly; any numeric dtype that does is accepted, as
-    clear_block casts each block to float64 as it permutes it.  Only the
-    block in hand is held, never the whole matrix, so peak memory is the
-    int16 basis on its free rows plus the block working set, at most
-    basis_bytes(n_rows, cols, b) for cols columns in all.  Stops
+    clear_block casts each panel to float64 as it permutes it.  Each
+    block is cleared and absorbed in panels of _panel_width(n_rows)
+    columns.  Only the block in hand is held, never the whole matrix, so
+    peak memory is the int16 basis on its free rows plus the working set,
+    at most basis_bytes(n_rows, cols, b) for cols columns in all.  Stops
     consuming blocks once the rank hits n_rows.  A modulus that is not a
     prime up to gfpoly.MAX_PRIME raises ValueError, before any block.
     """
@@ -357,13 +383,17 @@ def rank_from_column_blocks(
     if n_rows == 0:
         return 0
     basis = _GenerationBasis(n_rows, modulus)
+    width = _panel_width(n_rows)
     done = 0
     for raw in blocks:
         B = np.asarray(raw)
         if B.ndim != 2 or B.shape[0] != n_rows:
             raise DimensionMismatch(f"block shape {B.shape} incompatible with {n_rows} rows")
         done += B.shape[1]
-        basis.absorb(basis.clear_block(B))
+        for a in range(0, B.shape[1], width):
+            if basis.rank == n_rows:
+                break
+            basis.absorb(basis.clear_block(B[:, a : a + width]))
         if progress is not None:
             progress(done, total_cols if total_cols is not None else -1, basis.rank)
         if basis.rank == n_rows:

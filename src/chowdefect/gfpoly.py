@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator
 
 import numpy as np
@@ -150,7 +150,29 @@ def monomial_exponents(n: int, d: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+def _latest_variable_count(build):
+    """Cache build(n, k), holding only the results for the n last asked for.
+
+    Quaternary statements all read maps in n = 3 variables, so theirs stay
+    across t; a cubic statement reads its maps in t+1 variables, which no
+    other t reads, so a cubic sweep holds one t's maps at a time.  The
+    cache is emptied by cache_clear().
+    """
+    held: dict[tuple[int, int], np.ndarray] = {}
+
+    @wraps(build)
+    def cached(n: int, k: int) -> np.ndarray:
+        if (n, k) not in held:
+            if held and next(iter(held))[0] != n:
+                held.clear()
+            held[n, k] = build(n, k)
+        return held[n, k]
+
+    cached.cache_clear = held.clear
+    return cached
+
+
+@_latest_variable_count
 def division_map(n: int, k: int) -> np.ndarray:
     """Gather indices from degree k to degree k+1, one row per variable.
 
@@ -162,16 +184,26 @@ def division_map(n: int, k: int) -> np.ndarray:
     Multiplying by x_j maps the degree-k monomials one-to-one onto the
     degree-(k+1) monomials that x_j divides, so row j scatters 0, 1, 2,
     ... to the lex positions of the degree-k exponents with exponent j
-    raised by one.  Only the degree-k exponent matrix is read, and it is
-    dropped once the map is built.
+    raised by one.  A lex position is the sum over v < n of the
+    _ranks_of_exponents terms C(s_v - 1 + n - v, n - v), s_v the degree
+    in x_{v+1}..x_n, and raising x_j adds one to s_v for v < j only; so
+    the n+1 rows come from two table lookups and a cumulative sum, not
+    one ranking per variable.  Only the degree-k exponent matrix is read,
+    and it is dropped once the map is built.  Maps are cached for the
+    last variable count asked for only.
     """
-    exps = monomial_exponents(n, k).astype(np.int64)
-    out = np.full((n + 1, monomial_count(n, k + 1)), exps.shape[0], dtype=np.intp)
-    quotients = np.arange(exps.shape[0], dtype=np.intp)
-    for j in range(n + 1):
-        exps[:, j] += 1
-        out[j, lex_positions(exps, n, k + 1) - 1] = quotients
-        exps[:, j] -= 1
+    exps = monomial_exponents(n, k)
+    count = exps.shape[0]
+    table = _binom_table(n + k + 3, n + 2)
+    s = np.cumsum(exps[:, :0:-1], axis=1, dtype=np.int64)[:, ::-1]  # s[:, v] = s_v
+    col = np.arange(n, 0, -1)  # n - v
+    kept = table[s - 1 + col, col]
+    raised = table[s + col, col]
+    positions = np.zeros((count, n + 1), dtype=np.int64)
+    np.cumsum(raised - kept, axis=1, out=positions[:, 1:])
+    positions += kept.sum(axis=1, keepdims=True)
+    out = np.full((n + 1, monomial_count(n, k + 1)), count, dtype=np.intp)
+    out[np.arange(n + 1)[:, None], positions.T] = np.arange(count)
     out.setflags(write=False)
     return out
 

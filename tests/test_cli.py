@@ -63,6 +63,20 @@ def test_verify_usage_errors(capsys):
         assert code == 1 and err.startswith("usage error:")
 
 
+def test_verify_refuses_t_below_the_first_base_case(tmp_path, capsys, monkeypatch):
+    """Quaternary base cases start at t=2: t=1 (a 4 x 0 and a 4 x 4 matrix)
+    is no statement of the schedule and is refused before anything is
+    written; cubics t=1 is the first cubic base case and runs."""
+    monkeypatch.chdir(tmp_path)
+    assert bo.base_case_schedule(bo.config_for("quaternary"))[0].t == 2
+    for t in ("1", "1..3"):
+        code, out, err = run(capsys, "verify", "--family", "quaternary", "--t", t, "--seed", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "t=2" in err
+    assert not (tmp_path / "certificates").exists()
+    assert run(capsys, "verify", "--family", "cubics", "--t", "1", "--seed", "1")[0] == 0
+
+
 def test_verify_out_naming_a_file_is_an_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "taken").write_text("")

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from chowdefect.gfpoly import RESIDUE_DTYPE, DimensionMismatch
+from chowdefect import bolattice as bo, gflinalg
+from chowdefect.gfpoly import RESIDUE_DTYPE, DimensionMismatch, PrimeField
 from chowdefect.gflinalg import _CLEAR_ROWS, DEFAULT_BLOCK, _LEAF_WIDTH, rank_from_column_blocks
 
 P = 8191
@@ -37,6 +40,32 @@ def stream_rank(A, p=P, widths=(DEFAULT_BLOCK,), dtype=np.float64):
         blocks.append(A[:, at : at + w].astype(dtype))
         at, i = at + w, i + 1
     return rank_from_column_blocks(iter(blocks), A.shape[0], p, total_cols=A.shape[1])
+
+
+def on_both_paths(rank):
+    """[rank() with DEFAULT_BLOCK-wide panels, rank() with _LEAF_WIDTH-wide
+    panels], whatever the row count: the panel width's row threshold is
+    moved to 0, then past any matrix."""
+    ranks = []
+    for threshold in (0, 2**62):
+        with mock.patch.object(gflinalg, "_PANEL_ROWS", threshold):
+            ranks.append(rank())
+    return ranks
+
+
+def test_panel_width_follows_the_row_count():
+    assert gflinalg._panel_width(2047) == _LEAF_WIDTH == 64
+    assert gflinalg._panel_width(2048) == DEFAULT_BLOCK == 256
+
+
+@pytest.mark.parametrize("family", [bo.QUATERNARY, bo.CUBICS])
+@pytest.mark.parametrize("t", [8, 16])
+def test_statement_rank_equal_on_both_paths(family, t):
+    """A statement's rank at one seed is the same through either panel width."""
+    config = bo.config_for(family)
+    field = PrimeField(8191)
+    found = on_both_paths(lambda: bo.verify_statement(config, t, "s2", seed=20260809, field=field, retries=0).found)
+    assert found[0] == found[1] == bo.plan_statement(config, t, "s2")["expected"]
 
 
 def test_identity_and_proportional_rows():
@@ -148,7 +177,8 @@ def test_int16_basis_at_the_largest_prime():
     product and the sampled generation run over several widened chunks;
     the wide one takes the full-height path."""
     for A, width in top_heavy_matrices(LARGEST_PRIME):
-        assert stream_rank(A, LARGEST_PRIME, [width]) == reference_rank(A, LARGEST_PRIME)
+        want = reference_rank(A, LARGEST_PRIME)
+        assert on_both_paths(lambda: stream_rank(A, LARGEST_PRIME, [width])) == [want] * 2
 
 
 def test_int16_blocks_at_the_largest_prime():
@@ -157,7 +187,8 @@ def test_int16_blocks_at_the_largest_prime():
     the rank is the reference rank."""
     for A, width in top_heavy_matrices(LARGEST_PRIME):
         assert A.max() == LARGEST_PRIME - 1 <= np.iinfo(RESIDUE_DTYPE).max
-        assert stream_rank(A, LARGEST_PRIME, [width], RESIDUE_DTYPE) == reference_rank(A, LARGEST_PRIME)
+        want = reference_rank(A, LARGEST_PRIME)
+        assert on_both_paths(lambda: stream_rank(A, LARGEST_PRIME, [width], RESIDUE_DTYPE)) == [want] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +281,9 @@ def test_property_deficiency_inside_one_block(p, rows, new, seed):
     second = np.hstack([mix, fresh])[:, rng.permutation(DEFAULT_BLOCK)]
     A = np.hstack([base, second])
     want = reference_rank(A, p)
-    assert stream_rank(A, p) == want
-    blocks = iter([base.astype(np.float64), second.astype(np.float64)])
-    assert rank_from_column_blocks(blocks, rows, p) == want
+    assert on_both_paths(lambda: stream_rank(A, p)) == [want] * 2
+    blocks = [base.astype(np.float64), second.astype(np.float64)]
+    assert on_both_paths(lambda: rank_from_column_blocks(iter(blocks), rows, p)) == [want] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +327,13 @@ def tall_matrices(draw):
 
 
 @TALL
-@given(tall_matrices(), st.lists(st.integers(1, 64), min_size=1, max_size=4))
+@given(tall_matrices(), st.lists(st.integers(1, 130), min_size=1, max_size=4))
 def test_property_tall_blocks_match_reference(case, widths):
+    """Blocks up to the leaf's width take the same path at either panel
+    width; wider ones take the sampled Jordan recursion at 256-wide panels
+    and are cut into 64-wide panels otherwise."""
     p, A = case
-    assert stream_rank(A, p, widths) == reference_rank(A.T, p)
+    assert on_both_paths(lambda: stream_rank(A, p, widths)) == [reference_rank(A.T, p)] * 2
 
 
 def test_tall_block_with_directions_off_a_row_sample():
@@ -326,7 +360,8 @@ def test_wide_tall_blocks_with_directions_off_a_row_sample():
     hidden = hidden_rows(rng, p, rows, 100, 9)
     mix = (dense[:, :50] + hidden[:, 50:] + np.outer(rng.integers(0, p, rows), rng.integers(0, p, 50))) % p
     A = np.hstack([dense, hidden, mix])
-    assert stream_rank(A, p, [100]) == reference_rank(A.T, p) == 16
+    assert reference_rank(A.T, p) == 16
+    assert on_both_paths(lambda: stream_rank(A, p, [100])) == [16, 16]
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,23 @@ def test_zero_form_rejected():
         LinearForm(3, np.ones(3, dtype=np.int64), F)
 
 
+def test_division_map_cache_holds_the_last_variable_count():
+    """Maps are cached for the variable count last asked for: building
+    n = 41's evicts n = 40's, and a rebuilt n = 40 map equals the old one."""
+    division_map.cache_clear()
+    old = [division_map(40, k) for k in range(3)]
+    assert division_map(40, 1) is old[1]
+    new = [division_map(41, k) for k in range(3)]
+    assert all(division_map(41, k) is G for k, G in enumerate(new))
+    rebuilt = division_map(40, 1)
+    assert rebuilt is not old[1] and np.array_equal(rebuilt, old[1])
+    assert division_map(41, 1) is not new[1]  # n = 40 is the last asked for again
+    division_map.cache_clear()
+    assert division_map(40, 1) is not rebuilt
+
+
 def test_division_map_matches_monomial_rank():
-    for n, k in ((1, 0), (1, 6), (2, 5), (3, 0), (3, 4), (3, 9), (5, 2), (6, 3), (12, 2)):
+    for n, k in ((0, 4), (1, 0), (1, 6), (2, 5), (3, 0), (3, 4), (3, 9), (5, 2), (6, 3), (12, 2), (30, 1)):
         G = division_map(n, k)
         zero_slot = monomial_count(n, k)
         assert G.shape == (n + 1, monomial_count(n, k + 1)) and G.dtype == np.intp
