@@ -43,16 +43,14 @@ from .chow import (
 from .bolattice import (
     LatticeConfig,
     NegativeCount,
-    PointPlan,
     RankContradiction,
-    Statement,
     VerificationOutcome,
     a_i,
     abundance,
     base_case_schedule,
     config_for,
     induction_arithmetic_check,
-    point_plan,
+    plan_statement,
     verify_statement,
 )
 from .certificate import Certificate, ParseError, emit_text, parse, reverify

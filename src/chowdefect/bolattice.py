@@ -137,22 +137,6 @@ def config_for(family: str) -> LatticeConfig:
     return LatticeConfig(family, ell=PROOF_STEP, k0=3, t0=3 * PROOF_STEP + 1, s1=s1, s2=s2)
 
 
-@dataclass(frozen=True)
-class Statement:
-    t: int
-    i: int
-    branch: str
-
-
-@dataclass(frozen=True)
-class PointPlan:
-    """Counts of generic points (eta) and per-subspace points (mu)."""
-
-    eta: int
-    mu: int
-    order: int
-
-
 def a_i(config: LatticeConfig, i: int, t: int, branch: str) -> int:
     """Upper bound on the dimension of the order-i span at parameter t."""
     if not 0 <= i <= config.K(t):
@@ -176,16 +160,23 @@ def expected_dim(config: LatticeConfig, i: int, t: int, branch: str) -> int:
     return min(a_i(config, i, t, branch), config.N(t))
 
 
-def point_plan(config: LatticeConfig, t: int, branch: str, i: int | None = None) -> PointPlan:
-    """Point counts for the order-i statement (default i = K(t)).
+def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
+    """Every figure of the order-K(t) statement on one branch, without
+    building anything: the one place they are computed.
 
-    Validates the partition identity
-    sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t) before returning.
+    The i = K(t) subspaces and the s(t) points split by Newton's backward
+    differences into eta = diff^i s(t) generic points and mu =
+    diff^{i-1} s(t-ell) points inside each subspace; they fix the shape,
+    the expected rank (for cubics, with the rows the subspaces span
+    eliminated) and the rank's memory price.  The partition identity
+    sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t) is checked, and a negative
+    count or a failed identity raises NegativeCount.  A t below
+    config.t_first has no statement and raises ValueError; t beyond t0
+    stays plannable for the identity checks.
     """
-    if i is None:
-        i = config.K(t)
-    if not 0 <= i <= config.K(t):
-        raise ValueError(f"order {i} outside 0..K({t})={config.K(t)}")
+    if t < config.t_first:
+        raise ValueError(f"{config.family} statements start at t={config.t_first}; there is none at t={t}")
+    i = config.K(t)
     s = config.s(branch)
     ell = config.ell
     eta = backward_diff(s, i, t, ell)
@@ -197,7 +188,23 @@ def point_plan(config: LatticeConfig, t: int, branch: str, i: int | None = None)
     )
     if total != s(t):
         raise NegativeCount(f"point partition at t={t} sums to {total}, expected {s(t)}")
-    return PointPlan(eta=eta, mu=mu, order=i)
+    eliminated = eliminated_row_count(config, t, i) if config.family == CUBICS else 0
+    rows = config.N(t) - eliminated
+    cols = column_count(config, t, i, eta, mu)
+    return {
+        "family": config.family,
+        "t": t,
+        "i": i,
+        "branch": branch,
+        "points": s(t),
+        "eta": eta,
+        "mu": mu,
+        "rows": rows,
+        "cols": cols,
+        "expected": expected_dim(config, i, t, branch) - eliminated,
+        "abundance": abundance(config, i, t, branch),
+        "basis_bytes": basis_bytes(rows, cols),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,6 @@ class BuildSpec:
     n: int           # variables minus one (3 or t)
     rows_full: int   # N(t)
     rows: int        # rows fed to rank (|Y| for dimension induction)
-    cols: int
     row_keep: np.ndarray | None  # Y as 0-based indices, or None
     forms: list[tuple[str, np.ndarray]]        # (label, coeffs) in emission order
     keyed: dict[tuple, np.ndarray]             # (role, i, j, gamma) -> coeffs
@@ -327,8 +333,7 @@ def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, sour
                 f"row elimination count {rows_full - keep.size} != inclusion-exclusion {expect_gone}"
             )
     rows = rows_full if keep is None else int(keep.size)
-    cols = column_count(config, t, i, eta, mu)
-    return BuildSpec(config.family, t, i, ell, eta, mu, n, rows_full, rows, cols, keep, forms, keyed)
+    return BuildSpec(config.family, t, i, ell, eta, mu, n, rows_full, rows, keep, forms, keyed)
 
 
 def _degree_columns(spec: BuildSpec, field: PrimeField):
@@ -469,30 +474,6 @@ class _PullTimer:
             self.seconds += time.perf_counter() - tic
 
 
-def plan_statement(config: LatticeConfig, t: int, branch: str):
-    """Shape, expectation and basis memory of the order-K(t) statement,
-    without building anything."""
-    i = config.K(t)
-    plan = point_plan(config, t, branch, i)
-    eliminated = eliminated_row_count(config, t, i) if config.family == CUBICS else 0
-    rows = config.N(t) - eliminated
-    cols = column_count(config, t, i, plan.eta, plan.mu)
-    return {
-        "family": config.family,
-        "t": t,
-        "i": i,
-        "branch": branch,
-        "points": config.s(branch)(t),
-        "eta": plan.eta,
-        "mu": plan.mu,
-        "rows": rows,
-        "cols": cols,
-        "expected": expected_dim(config, i, t, branch) - eliminated,
-        "abundance": abundance(config, i, t, branch),
-        "basis_bytes": basis_bytes(rows, cols),
-    }
-
-
 def verify_statement(
     config: LatticeConfig,
     t: int,
@@ -510,14 +491,13 @@ def verify_statement(
     equals the expected dimension and UNVERIFIED otherwise -- a shortfall
     can always be bad luck over a small field, so it is never reported as
     a refutation.  A rank above the expected dimension raises
-    RankContradiction.
+    RankContradiction.  The shape, order and expectation are the plan's
+    (plan_statement), so a t with no statement raises ValueError.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    info = plan_statement(config, t, branch)
-    i, expected = info["i"], info["expected"]
+    plan = plan_statement(config, t, branch)
+    i, expected = plan["i"], plan["expected"]
     attempts = []
     attempt_seed = seed
     for attempt in range(retries + 1):
@@ -525,7 +505,7 @@ def verify_statement(
             attempt_seed = derive_retry_seed(seed, attempt)
         sampler = FormSampler(attempt_seed, field)
         tic = time.perf_counter()
-        spec = prepare_build(config, t, i, info["eta"], info["mu"], sampler)
+        spec = prepare_build(config, t, i, plan["eta"], plan["mu"], sampler)
         # columns are generated while the rank pulls them: charge the pulls to construction
         pulls = _PullTimer(column_blocks(spec, field))
         construct_seconds = time.perf_counter() - tic
@@ -549,9 +529,9 @@ def verify_statement(
         t=t,
         i=i,
         branch=branch,
-        abundance=info["abundance"],
-        rows=spec.rows,
-        cols=spec.cols,
+        abundance=plan["abundance"],
+        rows=plan["rows"],
+        cols=plan["cols"],
         expected=expected,
         found=found,
         verdict=verdict,
@@ -566,14 +546,11 @@ def verify_statement(
     )
 
 
-def base_case_schedule(config: LatticeConfig, cap: int | None = None) -> list[Statement]:
-    """Every base case the induction needs, in increasing t, s1 before s2."""
+def base_case_schedule(config: LatticeConfig, cap: int | None = None) -> list[dict]:
+    """The plan (plan_statement) of every base case the induction needs,
+    from config.t_first to t0 or `cap`, in increasing t, s1 before s2."""
     t_end = config.t0 if cap is None else min(cap, config.t0)
-    return [
-        Statement(t, config.K(t), branch)
-        for t in range(config.t_first, t_end + 1)
-        for branch in BRANCHES
-    ]
+    return [plan_statement(config, t, branch) for t in range(config.t_first, t_end + 1) for branch in BRANCHES]
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +586,9 @@ def induction_arithmetic_check(config: LatticeConfig, t_range) -> list[str]:
 
 
 def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
-    """Identities pinning down s1/s2 against N and m; returns violations."""
+    """Identities pinning down s1/s2 against N and m, the plan of every
+    statement from config.t_first through t_max (point counts), and the
+    abundance of each base case up to t0; returns violations."""
     bad = []
     ell = config.ell
     s1, s2 = config.s1, config.s2
@@ -626,16 +605,13 @@ def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
                 bad.append(f"diff^3 {name}({t}) != 0")
             if backward_diff(s, 2, t, ell) != expected_dd:
                 bad.append(f"diff^2 {name}({t}) != {expected_dd}")
+    for t in range(config.t_first, t_max + 1):
         for branch in BRANCHES:
             try:
-                point_plan(config, t, branch)
+                plan = plan_statement(config, t, branch)
             except NegativeCount as exc:
                 bad.append(str(exc))
-    start = 2 if config.family == QUATERNARY else 1
-    for t in range(start, min(t_max, config.t0) + 1):
-        k = config.K(t)
-        if abundance(config, k, t, "s1") == SUPER:
-            bad.append(f"s1 base case superabundant at t={t}")
-        if abundance(config, k, t, "s2") == SUB:
-            bad.append(f"s2 base case subabundant at t={t}")
+                continue
+            if t <= config.t0 and plan["abundance"] == (SUPER if branch == "s1" else SUB):
+                bad.append(f"{branch} base case {plan['abundance'].lower()}abundant at t={t}")
     return bad

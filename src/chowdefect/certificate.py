@@ -245,9 +245,11 @@ def parse(text: str) -> Certificate:
 
 
 def _infer_family(cert: Certificate) -> str:
-    for label, _ in cert.forms:
-        if label.startswith(("k_", "m_")):
-            return bolattice.CUBICS
+    """Cubics when a form label is cubic or quaternary forms have no
+    statement at the recorded t (a formless certificate at t=1)."""
+    cubic = any(label.startswith(("k_", "m_")) for label, _ in cert.forms)
+    if cubic or cert.t < bolattice.config_for(bolattice.QUATERNARY).t_first:
+        return bolattice.CUBICS
     return bolattice.QUATERNARY
 
 
@@ -302,7 +304,7 @@ def reverify(cert: Certificate) -> ReverifyReport:
     """Check a certificate against its plan, rebuild the matrix from the
     recorded forms and recompute its rank.
 
-    The family is the recorded one, or else the one the form labels imply;
+    The family is the recorded one, or else the one its labels and t imply;
     the branch is the recorded one, or else the one whose plan has the
     recorded labels.  Everything the plan fixes -- step, fixed argument,
     labels, order, abundance, shape and expected dimension -- must agree

@@ -40,8 +40,8 @@ def _parse_t_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad --t value {text!r}, want A or A..B")
     a = int(m.group(1))
     b = int(m.group(2)) if m.group(2) else a
-    if a < 1 or b < a:
-        raise UsageError(f"bad --t range {text!r}: need 1 <= A <= B")
+    if b < a:
+        raise UsageError(f"bad --t range {text!r}: need A <= B")
     return a, b
 
 
@@ -83,15 +83,17 @@ def cmd_verify(args) -> int:
     t_lo, t_hi = _parse_t_range(args.t)
     if t_hi > config.t0:
         raise UsageError(f"t beyond {config.t0} is not a base case; nothing to verify there")
-    if t_lo < config.t_first:
-        raise UsageError(f"{args.family} base cases start at t={config.t_first}; nothing to verify at t={t_lo}")
+    if args.retries < 0:
+        raise UsageError(f"--retries must be >= 0, got {args.retries}")
     field = _field(args.prime)
     branches = ("s1", "s2") if args.branch == "both" else (args.branch,)
-    statements = [(t, b) for t in range(t_lo, t_hi + 1) for b in branches]
     cap = _mem_cap_bytes(args)
+    try:
+        plans = [bolattice.plan_statement(config, t, b) for t in range(t_lo, t_hi + 1) for b in branches]
+    except ValueError as exc:
+        raise UsageError(str(exc))
     seed = _master_seed(args)
 
-    plans = [bolattice.plan_statement(config, t, b) for t, b in statements]
     # the rank's price (basis and block working set) dominates memory; one statement runs at a time
     largest = max(plans, key=lambda p: p["basis_bytes"])
     if largest["basis_bytes"] > cap:
@@ -141,8 +143,7 @@ def _write_atomically(path: Path, text: str) -> None:
 def cmd_schedule(args) -> int:
     config = bolattice.config_for(args.family)
     print(SCHEDULE_HEADER)
-    for stmt in bolattice.base_case_schedule(config, cap=args.cap):
-        p = bolattice.plan_statement(config, stmt.t, stmt.branch)
+    for p in bolattice.base_case_schedule(config, cap=args.cap):
         print(
             f"{p['family']}\t{p['t']}\t{p['i']}\t{p['branch']}\t{p['points']}\t{p['eta']}\t{p['mu']}\t"
             f"{p['rows']}\t{p['cols']}\t{p['expected']}\t{p['abundance']}\t"

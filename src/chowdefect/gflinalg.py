@@ -20,7 +20,7 @@ cleared block F has m free rows and b < m/3 columns, s = b + 32 rows
 at evenly spaced positions are stacked over the b x b identity and
 Jordan-normalized, with pivots allowed only in the s sample rows (the
 leaf's pivot search reads only a row prefix, whose length is passed
-down the recursion).  The identity rows then hold W, the combination
+to each leaf).  The identity rows then hold W, the combination
 of F's columns whose Jordan form they are, and the new generation is
 F @ W on all free rows: one product in place of a full-height
 elimination.  The rank stays exact:
@@ -149,12 +149,14 @@ def _extract_leaf(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.nd
 def _extract_jordan(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.ndarray | None, list[int]]:
     """Jordan-normalized independent columns of a cleared, reduced block.
 
-    Wide blocks recurse through a temporary generation basis so almost
-    all work lands in matrix products; the returned columns are an exact
-    identity on their own pivot rows.  `head` restricts the pivot rows
-    as in _extract_leaf.  Pivot moves only touch rows up to the last
-    pivot row, so the rows past `head` keep their places, and in each
-    temporary basis the allowed rows are the first head - rank free ones.
+    A block wider than _LEAF_WIDTH is cleared through a temporary
+    generation basis in _LEAF_WIDTH-wide pieces, each piece's pivots
+    taken by _extract_leaf, so the work between pieces lands in matrix
+    products; the returned columns are an exact identity on their own
+    pivot rows.  `head` restricts the pivot rows as in _extract_leaf.
+    Pivot moves only touch rows up to the last pivot row, so the rows
+    past `head` keep their places, and in the temporary basis the allowed
+    rows are the first head - rank free ones.
     """
     cap = B.shape[0] if head is None else head
     if B.shape[1] == 0 or cap <= 0:
@@ -162,10 +164,9 @@ def _extract_jordan(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.
     if B.shape[1] <= _LEAF_WIDTH:
         return _extract_leaf(B, p, head)
     temp = _GenerationBasis(B.shape[0], p)
-    step = max(_LEAF_WIDTH, (B.shape[1] + 3) // 4)
-    for a in range(0, B.shape[1], step):
-        F = temp.clear_block(B[:, a : a + step])
-        temp.store(*_extract_jordan(F, p, None if head is None else head - temp.rank))
+    for a in range(0, B.shape[1], _LEAF_WIDTH):
+        F = temp.clear_block(B[:, a : a + _LEAF_WIDTH])
+        temp.store(*_extract_leaf(F, p, None if head is None else head - temp.rank))
         if temp.rank == cap:
             break
     g = temp.rank

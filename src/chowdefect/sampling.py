@@ -114,7 +114,6 @@ class RecordedForms:
 
     def __init__(self, forms: dict[tuple, np.ndarray]):
         self._forms = dict(forms)
-        self.resamples = 0
 
     def linear_form(
         self,

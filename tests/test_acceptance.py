@@ -64,14 +64,12 @@ def test_criterion_2_desk_scale_sweep():
     start = time.perf_counter()
     failures = []
     count = 0
-    for config, t_lo in ((QUAT, 2), (CUB, 1)):
-        for stmt in bo.base_case_schedule(config, cap=33):
-            if stmt.t < t_lo:
-                continue
-            out = bo.verify_statement(config, stmt.t, stmt.branch, seed=SWEEP_SEED, field=F)
+    for config in (QUAT, CUB):
+        for plan in bo.base_case_schedule(config, cap=33):
+            out = bo.verify_statement(config, plan["t"], plan["branch"], seed=SWEEP_SEED, field=F)
             count += 1
             if out.verdict != "TRUE":
-                failures.append((config.family, stmt.t, stmt.branch, out.found, out.expected))
+                failures.append((config.family, plan["t"], plan["branch"], out.found, out.expected))
     elapsed = time.perf_counter() - start
     assert not failures, f"unverified statements: {failures}"
     assert count == 64 + 66

@@ -23,8 +23,8 @@ CUB = bo.config_for(bo.CUBICS)
 
 def build(cfg, t, branch, seed):
     """A statement's spec and its column blocks stacked into one matrix."""
-    plan = bo.point_plan(cfg, t, branch)
-    spec = bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(seed, F))
+    plan = bo.plan_statement(cfg, t, branch)
+    spec = bo.prepare_build(cfg, t, plan["i"], plan["eta"], plan["mu"], FormSampler(seed, F))
     return spec, np.hstack([np.zeros((spec.rows, 0)), *bo.column_blocks(spec, F)])
 
 
@@ -74,20 +74,20 @@ def test_abundance_examples():
     assert bo.abundance(QUAT, 3, 82, "s2") == bo.EQUI
 
 
-def test_point_plan_examples():
-    p5 = bo.point_plan(QUAT, 5, "s1")
-    assert (p5.eta, p5.mu, p5.order) == (3, 0, 0)
-    p32 = bo.point_plan(QUAT, 32, "s1")
-    assert (p32.eta, p32.mu) == (64, 3)
-    p82 = bo.point_plan(QUAT, 82, "s1")
-    assert (p82.eta, p82.mu) == (0, 81)
+def test_plan_statement_point_counts():
+    p5 = bo.plan_statement(QUAT, 5, "s1")
+    assert (p5["eta"], p5["mu"], p5["i"]) == (3, 0, 0)
+    p32 = bo.plan_statement(QUAT, 32, "s1")
+    assert (p32["eta"], p32["mu"]) == (64, 3)
+    p82 = bo.plan_statement(QUAT, 82, "s1")
+    assert (p82["eta"], p82["mu"]) == (0, 81)
 
 
 def test_point_partition_identity_wide():
     for cfg in (QUAT, CUB):
-        for t in range(1, 201):
+        for t in range(cfg.t_first, 201):
             for branch in ("s1", "s2"):
-                bo.point_plan(cfg, t, branch)  # raises NegativeCount on violation
+                bo.plan_statement(cfg, t, branch)  # raises NegativeCount on violation
 
 
 def test_negative_count_detected():
@@ -96,7 +96,7 @@ def test_negative_count_detected():
     )
     cfg = bo.LatticeConfig("quaternary", 27, 3, 82, shifted, QUAT.s2)
     with pytest.raises(bo.NegativeCount):
-        bo.point_plan(cfg, 2, "s1")
+        bo.plan_statement(cfg, 2, "s1")
 
 
 def test_schedule_counts():
@@ -104,8 +104,9 @@ def test_schedule_counts():
     assert len(bo.base_case_schedule(QUAT)) == 162
     assert len(bo.base_case_schedule(CUB)) == 164
     last = bo.base_case_schedule(QUAT)[-1]
-    assert (last.t, last.i, last.branch) == (82, 3, "s2")
-    assert all(s.i == 0 for s in bo.base_case_schedule(CUB, cap=27))
+    assert (last["t"], last["i"], last["branch"]) == (82, 3, "s2")
+    assert all(p["i"] == 0 for p in bo.base_case_schedule(CUB, cap=27))
+    assert bo.base_case_schedule(CUB, cap=1) == [bo.plan_statement(CUB, 1, b) for b in ("s1", "s2")]
 
 
 def test_schedule_headline_numbers():
@@ -154,15 +155,14 @@ def test_column_count_formulas():
             for cfg in (QUAT, CUB):
                 plan = bo.plan_statement(cfg, t, branch)
                 spec, m = build(cfg, t, branch, 2)
-                assert spec.cols == plan["cols"]
+                assert len(full_generator_columns(spec)) == plan["cols"]
                 assert m.shape == (plan["rows"], bo.kept_column_count(spec))
 
 
 def test_lower_order_build():
-    # prepare_build accepts orders below K(t); i=0 at t=28 needs no subspaces
-    plan = bo.point_plan(CUB, 28, "s1", i=0)
-    assert plan.order == 0 and plan.eta == CUB.s1(28)
-    spec = bo.prepare_build(CUB, 28, 0, plan.eta, plan.mu, FormSampler(4, F))
+    # prepare_build accepts orders below K(t); i=0 at t=28 needs no subspaces,
+    # and every point is generic
+    spec = bo.prepare_build(CUB, 28, 0, CUB.s1(28), 0, FormSampler(4, F))
     assert spec.rows == binomial(31, 3) and spec.row_keep is None
     assert sum(b.shape[1] for b in bo.column_blocks(spec, F)) == bo.kept_column_count(spec)
     expected = bo.expected_dim(CUB, 0, 28, "s1") - bo.eliminated_row_count(CUB, 28, 0)
@@ -185,6 +185,20 @@ def test_verify_zero_points():
     out = bo.verify_statement(CUB, 1, "s1", seed=9, field=F)
     assert (out.rows, out.cols, out.found, out.expected) == (4, 0, 0, 0)
     assert out.verdict == "TRUE"
+
+
+def test_no_statement_below_t_first():
+    """Quaternary statements start at t=2: t=1 (a 4 x 0 and a 4 x 4 matrix)
+    is refused by the plan and so by verification; cubics start at t=1."""
+    assert (QUAT.t_first, CUB.t_first) == (2, 1)
+    for branch in ("s1", "s2"):
+        with pytest.raises(ValueError, match="start at t=2"):
+            bo.plan_statement(QUAT, 1, branch)
+        with pytest.raises(ValueError, match="start at t=2"):
+            bo.verify_statement(QUAT, 1, branch, seed=9, field=F)
+        assert bo.verify_statement(CUB, 1, branch, seed=9, field=F).verdict == "TRUE"
+    with pytest.raises(ValueError, match="start at t=1"):
+        bo.plan_statement(CUB, 0, "s1")
 
 
 def test_verify_retry_policy(monkeypatch):
@@ -300,7 +314,7 @@ def test_quaternary_order2_columns_match_kernel():
     from chowdefect.gfpoly import LinearForm, product_of_linear_forms
 
     spec = bo.prepare_build(QUAT, 55, 2, 1, 1, FormSampler(99, F))
-    assert spec.cols == 2 * 4495 + 55 * 4 + 2 * 27 * 4
+    assert bo.column_count(QUAT, 55, 2, 1, 1) == 2 * 4495 + 55 * 4 + 2 * 27 * 4
     assert bo.kept_column_count(spec) == 2 * 4495 + 166 + 2 * 81
     wanted = {0: None, 1: None, 2 * 4495: None, 2 * 4495 + 166: None}
     at = 0
@@ -332,8 +346,8 @@ def test_cubics_top_order_structure():
     spec = bo.prepare_build(CUB, 82, 3, 0, 1, FormSampler(2024, F))
     assert spec.rows_full == 98770
     assert spec.rows == 19683
-    assert spec.cols == 3 * 3 * 27
-    rank = rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, 8191, total_cols=spec.cols)
+    assert bo.column_count(CUB, 82, 3, 0, 1) == bo.kept_column_count(spec) == 3 * 3 * 27
+    rank = rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, 8191)
     assert rank == 3 * 81
 
 
@@ -369,7 +383,7 @@ def test_basis_storage_within_plan(monkeypatch):
         bases.clear()
         out = bo.verify_statement(cfg, t, branch, seed=5, field=F)
         assert out.verdict == "TRUE"
-        outer = bases[0]  # inner recursion bases come later and are transient
+        outer = bases[0]  # the temporary bases of pivot extraction come later and are transient
         assert outer.rank == out.found
         assert all(T.dtype == np.int16 for _, _, T in outer.generations)
         n, r = out.rows, outer.rank
@@ -441,8 +455,8 @@ def small_specs():
     columns (quaternary) and row elimination (cubics) at a few hundred columns."""
     specs = []
     for cfg, t, branch in ((QUAT, 6, "s2"), (CUB, 7, "s1")):
-        plan = bo.point_plan(cfg, t, branch)
-        specs.append(bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(5, F)))
+        plan = bo.plan_statement(cfg, t, branch)
+        specs.append(bo.prepare_build(cfg, t, plan["i"], plan["eta"], plan["mu"], FormSampler(5, F)))
     specs.append(bo.prepare_build(QUAT, 28, 1, 1, 1, FormSampler(6, F)))
     specs.append(bo.prepare_build(CUB, 28, 1, 1, 1, FormSampler(7, F)))
     return specs
@@ -564,8 +578,8 @@ def pruning_specs():
     columns; cubic row elimination with points inside the subspace)."""
     specs = []
     for cfg, t, branch in ((QUAT, 6, "s2"), (QUAT, 9, "s1"), (CUB, 7, "s1"), (CUB, 9, "s2")):
-        plan = bo.point_plan(cfg, t, branch)
-        specs.append(bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(11, F)))
+        plan = bo.plan_statement(cfg, t, branch)
+        specs.append(bo.prepare_build(cfg, t, plan["i"], plan["eta"], plan["mu"], FormSampler(11, F)))
     specs.append(bo.prepare_build(QUAT, 28, 1, 2, 2, FormSampler(12, F)))
     specs.append(bo.prepare_build(CUB, 28, 1, 2, 2, FormSampler(13, F)))
     return specs
@@ -635,8 +649,8 @@ def test_int16_stream_equals_a_float64_build(monkeypatch, family, t):
 
     field = PrimeField(32749)
     cfg = bo.config_for(family)
-    plan = bo.point_plan(cfg, t, "s2")
-    spec = bo.prepare_build(cfg, t, plan.order, plan.eta, plan.mu, FormSampler(20260809, field))
+    plan = bo.plan_statement(cfg, t, "s2")
+    spec = bo.prepare_build(cfg, t, plan["i"], plan["eta"], plan["mu"], FormSampler(20260809, field))
     assert (spec.row_keep is not None) == (family == bo.CUBICS and t == 28)
     narrow = list(bo.column_blocks(spec, field))
     monkeypatch.setattr(bo, "RESIDUE_DTYPE", np.float64)

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +125,27 @@ def test_zero_point_certificate():
     assert cert.reverify(c).ok
 
 
+def test_desk_certificates_match_the_reference_digests():
+    """The 62 desk statements (t <= 16, both families and branches) at the
+    benchmark's seed emit certificates whose SHA-256, timing lines dropped,
+    is the one recorded in perfbench/reference_digests.json."""
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference_digests.json"
+    data = json.loads(reference.read_text(encoding="utf-8"))
+    seed = data["seed"]
+    assert seed == 20260809
+    differ = []
+    count = 0
+    for config in (QUAT, CUB):
+        for t in range(config.t_first, 17):
+            for branch in ("s1", "s2"):
+                _, text = emit(config, t, branch, seed=seed)
+                digest = hashlib.sha256("\n".join(strip_timing(text)).encode("utf-8")).hexdigest()
+                count += 1
+                if digest != data["digests"][f"{config.family}:{t}:{branch}"]:
+                    differ.append((config.family, t, branch))
+    assert count == 62 and not differ
+
+
 def test_certificate_determinism():
     _, a = emit(QUAT, 6, "s2", seed=777)
     _, b = emit(QUAT, 6, "s2", seed=777)
@@ -223,7 +247,7 @@ def plan_certificate(config, t, branch, seed, points=None):
     spec = bo.prepare_build(config, t, i, eta, mu, FormSampler(seed, F))
     outcome = bo.VerificationOutcome(
         family=config.family, t=t, i=i, branch=branch, abundance=plan["abundance"],
-        rows=spec.rows, cols=spec.cols, expected=plan["expected"], found=plan["expected"], verdict="TRUE",
+        rows=spec.rows, cols=bo.column_count(config, t, i, eta, mu), expected=plan["expected"], found=plan["expected"], verdict="TRUE",
         seed=seed, prime=8191, resamples=0, retries=0,
         construct_seconds=0.0, rank_seconds=0.0, attempts=((seed, plan["expected"]),),
         forms=tuple((label, tuple(int(v) for v in c)) for label, c in spec.forms),
@@ -282,7 +306,7 @@ def test_recorded_forms_rebuild_the_sampled_spec_at_order_2(config, t):
         assert np.array_equal(replayed.row_keep, sampled.row_keep)
     else:
         assert replayed.row_keep is None and sampled.row_keep is None
-    assert (replayed.rows_full, replayed.rows, replayed.cols) == (sampled.rows_full, sampled.rows, sampled.cols)
+    assert (replayed.rows_full, replayed.rows) == (sampled.rows_full, sampled.rows)
 
 
 @pytest.mark.parametrize("config, label", [(QUAT, "f_{0,0,0}"), (CUB, "k_{0,0}")], ids=["quaternary", "cubics"])
@@ -319,8 +343,8 @@ def test_unknown_family_or_branch_refused(line, bad):
 
 
 def test_certificate_without_forms_reverifies():
-    # cubics t=1 s1 is 4 x 0: no labels to infer the family or branch from, so
-    # it is checked as quaternary s1, which both families plan alike
+    # cubics t=1 s1 is 4 x 0: no labels to infer the family or branch from, and
+    # quaternary forms have no statement at t=1, so it is checked as cubics
     _, text = emit(CUB, 1, "s1", seed=4)
     body, _, trailer = text.partition("\n\n")
     assert "family=cubics" in trailer and "Need a 4 x 0 matrix." in body
@@ -329,6 +353,30 @@ def test_certificate_without_forms_reverifies():
     report = cert.reverify(c)
     assert report.recomputed_rank == 0
     assert report.ok
+
+
+def test_quaternary_t1_certificate_refused(tmp_path, capsys):
+    """Quaternary statements start at t=2.  The 4 x 4 matrix of one point
+    at t=1 is refused with its trailer, as no statement, and without it,
+    when the family is taken to be cubics, whose t=1 forms are k, l, m."""
+    from chowdefect.cli import main
+
+    spec = bo.prepare_build(QUAT, 1, 0, 1, 0, FormSampler(4, F))
+    outcome = bo.VerificationOutcome(
+        family="quaternary", t=1, i=0, branch="s2", abundance="EQUI", rows=4, cols=4, expected=4,
+        found=4, verdict="TRUE", seed=4, prime=8191, resamples=0, retries=0,
+        construct_seconds=0.0, rank_seconds=0.0, attempts=((4, 4),),
+        forms=tuple((label, tuple(int(v) for v in c)) for label, c in spec.forms),
+    )
+    text = cert.emit_text(outcome)
+    with pytest.raises(ValueError, match="start at t=2"):
+        cert.reverify(cert.parse(text))
+    with pytest.raises(DimensionMismatch, match="not the cubics t=1 s1 or s2 plan"):
+        cert.reverify(cert.parse(text.partition("\n\n")[0] + "\n"))
+    path = tmp_path / "quaternary_t001_s2.cert"
+    path.write_text(text)
+    assert main(["reverify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("rebuild mismatch: ")
 
 
 @pytest.mark.parametrize("statement", [

@@ -68,7 +68,7 @@ def test_verify_refuses_t_below_the_first_base_case(tmp_path, capsys, monkeypatc
     is no statement of the schedule and is refused before anything is
     written; cubics t=1 is the first cubic base case and runs."""
     monkeypatch.chdir(tmp_path)
-    assert bo.base_case_schedule(bo.config_for("quaternary"))[0].t == 2
+    assert bo.base_case_schedule(bo.config_for("quaternary"))[0]["t"] == 2
     for t in ("1", "1..3"):
         code, out, err = run(capsys, "verify", "--family", "quaternary", "--t", t, "--seed", "1")
         assert code == 1 and out == ""
@@ -110,7 +110,8 @@ def test_verify_negative_retries_is_an_error(tmp_path, capsys, monkeypatch):
         "--seed", "4", "--retries", "-1",
     )
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "retries" in err and "Traceback" not in err
+    assert err.startswith("usage error:") and "retries" in err and "Traceback" not in err
+    assert not (tmp_path / "certificates").exists()  # refused before the output directory is made
 
 
 def test_verify_memory_cap(tmp_path, capsys, monkeypatch):

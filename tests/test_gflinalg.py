@@ -330,7 +330,7 @@ def tall_matrices(draw):
 @given(tall_matrices(), st.lists(st.integers(1, 130), min_size=1, max_size=4))
 def test_property_tall_blocks_match_reference(case, widths):
     """Blocks up to the leaf's width take the same path at either panel
-    width; wider ones take the sampled Jordan recursion at 256-wide panels
+    width; wider ones take the sampled Jordan extraction at 256-wide panels
     and are cut into 64-wide panels otherwise."""
     p, A = case
     assert on_both_paths(lambda: stream_rank(A, p, widths)) == [reference_rank(A.T, p)] * 2
@@ -365,7 +365,7 @@ def test_wide_tall_blocks_with_directions_off_a_row_sample():
 
 
 # ---------------------------------------------------------------------------
-# the pivot leaf and the Jordan recursion, called directly: heights on both
+# the pivot leaf and the Jordan extraction, called directly: heights on both
 # sides of _reduce_mod's switch from `%` at 600 entries, widths around the leaf's
 
 from chowdefect.gflinalg import _extract_jordan, _extract_leaf
