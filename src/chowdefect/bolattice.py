@@ -32,6 +32,7 @@ builder is wrong, and no retry can fix that.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,11 +129,13 @@ class LatticeConfig:
         return min(-(-t // self.ell) - 1, self.k0)
 
 
+@functools.cache
 def config_for(family: str) -> LatticeConfig:
     """Family parameters of the degree induction (quaternary: X(t) is the
     degree-t Chow variety in 4 variables) or of the dimension induction
     (cubics: X(t) is the cubic Chow variety in t+1 variables).  An
-    unknown family raises ValueError."""
+    unknown family raises ValueError.  One frozen config per family is
+    built, on first use: the proof functions are exact rationals."""
     s1, s2 = make_proof_functions()
     return LatticeConfig(family, ell=PROOF_STEP, k0=3, t0=3 * PROOF_STEP + 1, s1=s1, s2=s2)
 
@@ -168,7 +171,9 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     differences into eta = diff^i s(t) generic points and mu =
     diff^{i-1} s(t-ell) points inside each subspace; they fix the shape,
     the expected rank (for cubics, with the rows the subspaces span
-    eliminated) and the rank's memory price.  The partition identity
+    eliminated) and the rank's memory price.  Both branches are priced at
+    the s2 shape, as an s1 verification ranks the s2 stream (see
+    verify_statement).  The partition identity
     sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t) is checked, and a negative
     count or a failed identity raises NegativeCount.  A t below
     config.t_first has no statement and raises ValueError; t beyond t0
@@ -179,8 +184,7 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     i = config.K(t)
     s = config.s(branch)
     ell = config.ell
-    eta = backward_diff(s, i, t, ell)
-    mu = backward_diff(s, i - 1, t - ell, ell) if i >= 1 else 0
+    eta, mu = _point_split(config, s, i, t)
     if eta < 0 or mu < 0:
         raise NegativeCount(f"negative point count at t={t}, i={i}, {branch}: eta={eta}, mu={mu}")
     total = sum(
@@ -191,6 +195,7 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     eliminated = eliminated_row_count(config, t, i) if config.family == CUBICS else 0
     rows = config.N(t) - eliminated
     cols = column_count(config, t, i, eta, mu)
+    ranked = cols if branch == "s2" else column_count(config, t, i, *_point_split(config, config.s2, i, t))
     return {
         "family": config.family,
         "t": t,
@@ -203,8 +208,15 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
         "cols": cols,
         "expected": expected_dim(config, i, t, branch) - eliminated,
         "abundance": abundance(config, i, t, branch),
-        "basis_bytes": basis_bytes(rows, cols),
+        "basis_bytes": basis_bytes(rows, ranked),
     }
+
+
+def _point_split(config: LatticeConfig, s: Quasipolynomial, i: int, t: int) -> tuple[int, int]:
+    """(eta, mu) of s at order i: diff^i s(t) generic points and
+    diff^{i-1} s(t-ell) points inside each subspace."""
+    ell = config.ell
+    return backward_diff(s, i, t, ell), backward_diff(s, i - 1, t - ell, ell) if i >= 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +486,105 @@ class _PullTimer:
             self.seconds += time.perf_counter() - tic
 
 
+class _DrawnFirst:
+    """A form source that replays forms already drawn and samples the rest."""
+
+    def __init__(self, drawn: dict[tuple, np.ndarray], sampler: FormSampler):
+        self.drawn = drawn
+        self.sampler = sampler
+
+    def linear_form(self, role, n, i=0, j=0, gamma=0, support=None) -> np.ndarray:
+        coeffs = self.drawn.get((role, i, j, gamma))
+        if coeffs is None:
+            coeffs = self.sampler.linear_form(role, n, i=i, j=j, gamma=gamma, support=support)
+        return coeffs
+
+
+def _split_at(blocks: Iterator[np.ndarray], mark: int) -> Iterator[np.ndarray]:
+    """The blocks, with the one that straddles column `mark` split there."""
+    done = 0
+    for B in blocks:
+        cut = mark - done
+        done += B.shape[1]
+        if 0 < cut < B.shape[1]:
+            yield B[:, :cut]
+            B = B[:, cut:]
+        yield B
+
+
+def _rank_pass(spec: BuildSpec, field: PrimeField, mark: int, progress: ProgressHook | None, prepared: float):
+    """Rank the spec's column stream and read the rank at column `mark` on
+    the way: (found, construct_seconds, rank_seconds) at the mark and at
+    the end.
+
+    Columns are generated while the rank pulls them, so the pulls are
+    charged to construction, on top of the `prepared` seconds the forms
+    took.  The block that straddles the mark is split there, so that the
+    rank's per-block progress report falls on it.  With no report at the
+    mark (the stream reached full row rank before it) the mark takes the
+    end's figures; the rank of no columns is 0.
+    """
+    pulls = _PullTimer(column_blocks(spec, field))
+    tic = time.perf_counter()
+
+    def figures(found):
+        return found, prepared + pulls.seconds, time.perf_counter() - tic - pulls.seconds
+
+    at_mark = figures(0) if mark == 0 else None
+
+    def hook(done, total, rank):
+        nonlocal at_mark
+        if done == mark:
+            at_mark = figures(rank)
+        if progress is not None:
+            progress(done, total, rank)
+
+    end = figures(rank_from_column_blocks(
+        _split_at(pulls, mark), spec.rows, field.modulus, total_cols=kept_column_count(spec), progress=hook,
+    ))
+    return at_mark or end, end
+
+
+def _check_bound(plan: dict, found: int, seed: int) -> None:
+    if found > plan["expected"]:
+        raise RankContradiction(
+            f"{plan['family']} t={plan['t']} {plan['branch']}: rank {found} exceeds the expected "
+            f"dimension {plan['expected']}, an upper bound (seed {seed})"
+        )
+
+
+def _outcome(
+    plan: dict, spec: BuildSpec, field: PrimeField, attempts: list, resamples: int, seconds
+) -> VerificationOutcome:
+    """The outcome of the plan's statement, whose last attempt drew spec's forms."""
+    seed, found = attempts[-1]
+    return VerificationOutcome(
+        family=plan["family"],
+        t=plan["t"],
+        i=plan["i"],
+        branch=plan["branch"],
+        abundance=plan["abundance"],
+        rows=plan["rows"],
+        cols=plan["cols"],
+        expected=plan["expected"],
+        found=found,
+        verdict="TRUE" if found == plan["expected"] else "UNVERIFIED",
+        seed=seed,
+        prime=field.modulus,
+        resamples=resamples,
+        retries=len(attempts) - 1,
+        construct_seconds=seconds[0],
+        rank_seconds=seconds[1],
+        attempts=tuple(attempts),
+        forms=tuple((label, tuple(int(v) for v in coeffs)) for label, coeffs in spec.forms),
+    )
+
+
+# The s2 outcome of the last s1 call's pass, if TRUE, as ((config, t, seed,
+# prime), outcome); only the next verify_statement call may take it.
+_handoff: tuple | None = None
+
+
 def verify_statement(
     config: LatticeConfig,
     t: int,
@@ -493,11 +604,28 @@ def verify_statement(
     a refutation.  A rank above the expected dimension raises
     RankContradiction.  The shape, order and expectation are the plan's
     (plan_statement), so a t with no statement raises ValueError.
+
+    One rank pass serves both branches of a t.  The s2 forms are the s1
+    forms followed by those of one more point (form_plan), so the s2
+    column stream begins with the s1 stream, and from order 2 on it is
+    the s1 stream.  An s1 call ranks the s2 stream of its seed and reads
+    its own rank at the s1 mark, kept_column_count of its spec; its
+    timings run up to the mark.  A rank above the expected dimension at
+    the mark or, for s2, at the end raises RankContradiction, and a
+    shortfall at the mark retries s1 alone.  When the s2 rank is the
+    expected one, the s2 outcome, timed over the whole pass, is handed
+    to the next call alone: an s2 call for the same config, t, seed and
+    prime returns it instead of ranking again.  Every call empties the
+    hand-off first; it holds an outcome, never a basis.
     """
+    global _handoff
+    handed, _handoff = _handoff, None
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     plan = plan_statement(config, t, branch)
-    i, expected = plan["i"], plan["expected"]
+    if branch == "s2" and handed is not None and handed[0] == (config, t, seed, field.modulus):
+        return handed[1]
+    handoff = None
     attempts = []
     attempt_seed = seed
     for attempt in range(retries + 1):
@@ -505,45 +633,27 @@ def verify_statement(
             attempt_seed = derive_retry_seed(seed, attempt)
         sampler = FormSampler(attempt_seed, field)
         tic = time.perf_counter()
-        spec = prepare_build(config, t, i, plan["eta"], plan["mu"], sampler)
-        # columns are generated while the rank pulls them: charge the pulls to construction
-        pulls = _PullTimer(column_blocks(spec, field))
-        construct_seconds = time.perf_counter() - tic
-        tic = time.perf_counter()
-        found = rank_from_column_blocks(
-            pulls, spec.rows, field.modulus, total_cols=kept_column_count(spec), progress=progress,
+        spec = prepare_build(config, t, plan["i"], plan["eta"], plan["mu"], sampler)
+        resamples = sampler.resamples
+        ranked = spec
+        if branch == "s1" and attempt == 0:
+            s2 = plan_statement(config, t, "s2")
+            ranked = prepare_build(config, t, s2["i"], s2["eta"], s2["mu"], _DrawnFirst(spec.keyed, sampler))
+        (found, *seconds), whole = _rank_pass(
+            ranked, field, kept_column_count(spec), progress, time.perf_counter() - tic
         )
-        rank_seconds = time.perf_counter() - tic - pulls.seconds
-        construct_seconds += pulls.seconds
         attempts.append((attempt_seed, found))
-        if found > expected:
-            raise RankContradiction(
-                f"{config.family} t={t} {branch}: rank {found} exceeds the expected "
-                f"dimension {expected}, an upper bound (seed {attempt_seed})"
-            )
-        if found == expected:
+        _check_bound(plan, found, attempt_seed)
+        if ranked is not spec:
+            _check_bound(s2, whole[0], seed)
+            if whole[0] == s2["expected"]:
+                s2_outcome = _outcome(s2, ranked, field, [(seed, whole[0])], sampler.resamples, whole[1:])
+                handoff = ((config, t, seed, field.modulus), s2_outcome)
+        if found == plan["expected"]:
             break
-    verdict = "TRUE" if found == expected else "UNVERIFIED"
-    return VerificationOutcome(
-        family=config.family,
-        t=t,
-        i=i,
-        branch=branch,
-        abundance=plan["abundance"],
-        rows=plan["rows"],
-        cols=plan["cols"],
-        expected=expected,
-        found=found,
-        verdict=verdict,
-        seed=attempt_seed,
-        prime=field.modulus,
-        resamples=sampler.resamples,
-        retries=len(attempts) - 1,
-        construct_seconds=construct_seconds,
-        rank_seconds=rank_seconds,
-        attempts=tuple(attempts),
-        forms=tuple((label, tuple(int(v) for v in coeffs)) for label, coeffs in spec.forms),
-    )
+    outcome = _outcome(plan, spec, field, attempts, resamples, seconds)
+    _handoff = handoff
+    return outcome
 
 
 def base_case_schedule(config: LatticeConfig, cap: int | None = None) -> list[dict]:

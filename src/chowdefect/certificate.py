@@ -18,7 +18,10 @@ substream algorithm, retry and resample counts).  Coefficients are
 right-aligned to the width of P-1 and space separated.  Timing lines are
 preserved verbatim through parse/emit round-trips and excluded from the
 determinism guarantee; everything else is byte-reproducible from the
-seed.
+seed.  An s1 call ranks the s2 stream, which begins with the s1 columns,
+and hands the s2 outcome on (bolattice.verify_statement): the s1 timing
+lines then run up to the end of the s1 columns, and the s2 lines cover
+the whole pass, the s1 part included.
 
 The shape line counts the full generator set of the statement
 (bolattice.column_count).  Verification and reverification rank the

@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import chowdefect.bolattice as bo
+import chowdefect.certificate as cert
 from chowdefect.finite_calculus import Quasipolynomial, binomial
 from chowdefect.gfpoly import RESIDUE_DTYPE, PrimeField
 from chowdefect.gflinalg import rank_from_column_blocks
@@ -383,8 +386,10 @@ def test_basis_storage_within_plan(monkeypatch):
         bases.clear()
         out = bo.verify_statement(cfg, t, branch, seed=5, field=F)
         assert out.verdict == "TRUE"
+        # an s1 call ranks the s2 stream and hands its s2 outcome to the next call
+        ranked = bo.verify_statement(cfg, t, "s2", seed=5, field=F)
         outer = bases[0]  # the temporary bases of pivot extraction come later and are transient
-        assert outer.rank == out.found
+        assert outer.rank == ranked.found
         assert all(T.dtype == np.int16 for _, _, T in outer.generations)
         n, r = out.rows, outer.rank
         stored = sum(T.nbytes for _, _, T in outer.generations)
@@ -660,3 +665,177 @@ def test_int16_stream_equals_a_float64_build(monkeypatch, family, t):
     for a, b in zip(narrow, wide):
         assert a.dtype == RESIDUE_DTYPE and b.dtype == np.float64
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# one rank pass per t: an s1 call ranks the s2 stream and hands s2 its outcome
+
+
+def lone_outcome(cfg, t, branch, seed):
+    """A statement's outcome with its own stream ranked on its own, built
+    without verify_statement; timings are 0."""
+    plan = bo.plan_statement(cfg, t, branch)
+    sampler = FormSampler(seed, F)
+    spec = bo.prepare_build(cfg, t, plan["i"], plan["eta"], plan["mu"], sampler)
+    found = rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, F.modulus)
+    return bo.VerificationOutcome(
+        family=cfg.family, t=t, i=plan["i"], branch=branch, abundance=plan["abundance"],
+        rows=plan["rows"], cols=plan["cols"], expected=plan["expected"], found=found,
+        verdict="TRUE" if found == plan["expected"] else "UNVERIFIED", seed=seed, prime=F.modulus,
+        resamples=sampler.resamples, retries=0, construct_seconds=0.0, rank_seconds=0.0,
+        attempts=((seed, found),),
+        forms=tuple((label, tuple(int(v) for v in c)) for label, c in spec.forms),
+    )
+
+
+def untimed(out):
+    return replace(out, construct_seconds=0.0, rank_seconds=0.0)
+
+
+def counting_rank(monkeypatch, calls, report=None, end=None):
+    """Wrap the rank that verify_statement calls, recording each call's
+    total_cols.  On the first call only, `report(done, total,
+    rank)` is the rank its progress reports and `end(rank)` the rank it
+    returns, if given."""
+    real = bo.rank_from_column_blocks
+
+    def rank(blocks, n_rows, modulus, total_cols=None, progress=None):
+        calls.append(total_cols)
+        first = len(calls) == 1
+        hook = progress
+        if report is not None and first:
+            def hook(done, total, rank):
+                progress(done, total, report(done, total, rank))
+        found = real(blocks, n_rows, modulus, total_cols=total_cols, progress=hook)
+        return end(found) if end is not None and first else found
+
+    monkeypatch.setattr(bo, "rank_from_column_blocks", rank)
+
+
+@pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)
+@pytest.mark.parametrize("t", (2, 16, 28, 30))
+def test_shared_pass_outcomes_equal_lone_ones(cfg, t):
+    """Orders 0 and 1: the s1 outcome read at the mark and the s2 outcome
+    handed on equal those of each stream ranked on its own, field for
+    field, and so do their certificates, byte for byte."""
+    seed = 20260809
+    s1 = bo.verify_statement(cfg, t, "s1", seed=seed, field=F)
+    s2 = bo.verify_statement(cfg, t, "s2", seed=seed, field=F)
+    for out in (s1, s2):
+        lone = lone_outcome(cfg, t, out.branch, seed)
+        assert untimed(out) == lone
+        assert cert.emit_text(untimed(out)) == cert.emit_text(lone)
+        assert out.verdict == "TRUE"
+
+
+@pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)
+def test_order_two_pair_is_ranked_once(monkeypatch, cfg):
+    """From order 2 on the two branches are one statement: a rank that
+    returns the expected value is called once for the pair."""
+    calls = []
+    expected = bo.plan_statement(cfg, 55, "s2")["expected"]
+
+    def fake_rank(blocks, n_rows, modulus, total_cols=None, progress=None):
+        calls.append(total_cols)
+        return expected
+
+    monkeypatch.setattr(bo, "rank_from_column_blocks", fake_rank)
+    s1 = bo.verify_statement(cfg, 55, "s1", seed=3, field=F)
+    s2 = bo.verify_statement(cfg, 55, "s2", seed=3, field=F)
+    assert len(calls) == 1
+    assert s1.verdict == s2.verdict == "TRUE"
+    assert s1.forms == s2.forms and s1.found == s2.found == expected
+
+
+def test_shortfall_at_the_mark_retries_s1_alone(monkeypatch):
+    calls = []
+    # one short at every report before the end, so at the s1 mark
+    counting_rank(monkeypatch, calls, lambda done, total, rank: rank - (done < total))
+    p1, p2 = (bo.plan_statement(QUAT, 16, b) for b in bo.BRANCHES)
+    s1 = bo.verify_statement(QUAT, 16, "s1", seed=3, field=F)
+    assert s1.verdict == "TRUE" and s1.retries == 1
+    assert s1.attempts[0] == (3, p1["expected"] - 1) and s1.seed != 3
+    assert calls[1] < calls[0]  # the retry ranks the s1 stream alone
+    s2 = bo.verify_statement(QUAT, 16, "s2", seed=3, field=F)
+    assert (s2.verdict, s2.retries, s2.seed, s2.found) == ("TRUE", 0, 3, p2["expected"])
+    assert len(calls) == 2
+
+
+def test_shortfall_at_the_end_leaves_s2_to_itself(monkeypatch):
+    calls = []
+    counting_rank(monkeypatch, calls, end=lambda rank: rank - 1)
+    s1 = bo.verify_statement(QUAT, 16, "s1", seed=3, field=F)
+    assert (s1.verdict, s1.retries) == ("TRUE", 0)
+    s2 = bo.verify_statement(QUAT, 16, "s2", seed=3, field=F)
+    assert (s2.verdict, s2.retries) == ("TRUE", 0)
+    assert len(calls) == 2  # nothing was handed on
+
+
+@pytest.mark.parametrize("where, report, end", (
+    ("s1", lambda done, total, rank: rank + (done < total), None),
+    ("s2", None, lambda rank: rank + 1),
+), ids=("at the mark", "at the end"))
+def test_rank_above_expected_in_the_shared_pass_is_a_contradiction(monkeypatch, where, report, end):
+    calls = []
+    counting_rank(monkeypatch, calls, report, end)
+    with pytest.raises(bo.RankContradiction, match=f"quaternary t=16 {where}"):
+        bo.verify_statement(QUAT, 16, "s1", seed=3, field=F)
+    assert bo.verify_statement(QUAT, 16, "s2", seed=3, field=F).verdict == "TRUE"
+    assert len(calls) == 2  # nothing was handed on
+
+
+def test_handoff_goes_only_to_the_next_matching_s2_call(monkeypatch):
+    calls = []
+    counting_rank(monkeypatch, calls)
+
+    def ranks(cfg, t, branch, seed=3, field=F):
+        before = len(calls)
+        bo.verify_statement(cfg, t, branch, seed=seed, field=field)
+        return len(calls) - before
+
+    assert ranks(QUAT, 5, "s1") == 1
+    assert ranks(QUAT, 5, "s2") == 0
+    assert ranks(QUAT, 5, "s2") == 1  # a second s2 call ranks again
+    for other in ((QUAT, 5, "s2", 4), (QUAT, 5, "s2", 3, PrimeField(8179)), (QUAT, 6, "s2"), (CUB, 5, "s2")):
+        ranks(QUAT, 5, "s1")
+        assert ranks(*other) == 1, other
+    ranks(QUAT, 5, "s1")
+    ranks(CUB, 4, "s2")
+    assert ranks(QUAT, 5, "s2") == 1  # a call in between empties the hand-off
+    ranks(QUAT, 5, "s1")
+    with pytest.raises(ValueError, match="start at t=2"):
+        ranks(QUAT, 1, "s1")  # even one that is refused
+    assert ranks(QUAT, 5, "s2") == 1
+
+
+@pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)
+def test_s1_plan_leads_the_s2_plan(cfg):
+    """What the hand-off rests on, for every base case: the s1 forms are
+    the leading part of the s2 forms in emission order, with the same
+    labels and keys, so the s1 stream is the leading part of the s2
+    stream; and from order 2 on the two plans differ only in branch and
+    points."""
+    for t in range(cfg.t_first, cfg.t0 + 1):
+        plans = [bo.plan_statement(cfg, t, b) for b in bo.BRANCHES]
+        forms = [list(bo.form_plan(cfg.family, t, p["i"], cfg.ell, p["eta"], p["mu"])) for p in plans]
+        assert forms[1][: len(forms[0])] == forms[0], t
+        kept = [bo.kept_column_count(SimpleNamespace(family=cfg.family, t=t, ell=cfg.ell, **{
+            k: p[k] for k in ("i", "eta", "mu")})) for p in plans]
+        assert kept[0] <= kept[1], t
+        assert plans[0]["basis_bytes"] == plans[1]["basis_bytes"], t
+        if plans[0]["i"] >= 2:
+            same = [{k: v for k, v in p.items() if k not in ("branch", "points")} for p in plans]
+            assert same[0] == same[1], t
+
+
+def test_s1_resamples_count_its_own_forms(monkeypatch):
+    class EveryFormResampled(FormSampler):
+        def linear_form(self, *args, **kwargs):
+            self.resamples += 1
+            return super().linear_form(*args, **kwargs)
+
+    monkeypatch.setattr(bo, "FormSampler", EveryFormResampled)
+    s1 = bo.verify_statement(QUAT, 5, "s1", seed=3, field=F)
+    s2 = bo.verify_statement(QUAT, 5, "s2", seed=3, field=F)
+    assert s2.attempts == ((3, s2.found),)  # handed on
+    assert (s1.resamples, s2.resamples) == (len(s1.forms), len(s2.forms))
