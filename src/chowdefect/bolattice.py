@@ -47,14 +47,13 @@ from .finite_calculus import (
     binomial,
     make_proof_functions,
 )
-from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
+from .gfpoly import (
     RESIDUE_DTYPE,
     LinearForm,
     PrimeField,
     division_map,
     lex_positions,
     monomial_exponents,
-    mul_linear,
     padded,
     product_of_linear_forms,
     products_omitting_each,
@@ -167,41 +166,28 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     """Every figure of the order-K(t) statement on one branch, without
     building anything: the one place they are computed.
 
-    The i = K(t) subspaces and the s(t) points split by Newton's backward
-    differences into eta = diff^i s(t) generic points and mu =
-    diff^{i-1} s(t-ell) points inside each subspace; they fix the shape,
-    the expected rank (for cubics, with the rows the subspaces span
-    eliminated) and the rank's memory price.  Both branches are priced at
-    the s2 shape, as an s1 verification ranks the s2 stream (see
-    verify_statement).  The partition identity
-    sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t) is checked, and a negative
-    count or a failed identity raises NegativeCount.  A t below
-    config.t_first has no statement and raises ValueError; t beyond t0
-    stays plannable for the identity checks.
+    The point split (point_split) fixes the shape, the expected rank (for
+    cubics, with the rows the subspaces span eliminated) and the rank's
+    memory price.  Both branches are priced at the s2 shape, as an s1
+    verification ranks the s2 stream (see verify_statement).  Only a t
+    from config.t_first to t0 has a statement, by this rule alone; any
+    other t raises ValueError, and a bad point count NegativeCount.
     """
-    if t < config.t_first:
-        raise ValueError(f"{config.family} statements start at t={config.t_first}; there is none at t={t}")
-    i = config.K(t)
-    s = config.s(branch)
-    ell = config.ell
-    eta, mu = _point_split(config, s, i, t)
-    if eta < 0 or mu < 0:
-        raise NegativeCount(f"negative point count at t={t}, i={i}, {branch}: eta={eta}, mu={mu}")
-    total = sum(
-        binomial(i, j) * backward_diff(s, i - j, t - j * ell, ell) for j in range(i + 1)
-    )
-    if total != s(t):
-        raise NegativeCount(f"point partition at t={t} sums to {total}, expected {s(t)}")
+    if not config.t_first <= t <= config.t0:
+        raise ValueError(
+            f"{config.family} statements start at t={config.t_first} and end at t={config.t0}; none at t={t}"
+        )
+    i, eta, mu = point_split(config, t, branch)
     eliminated = eliminated_row_count(config, t, i) if config.family == CUBICS else 0
     rows = config.N(t) - eliminated
     cols = column_count(config, t, i, eta, mu)
-    ranked = cols if branch == "s2" else column_count(config, t, i, *_point_split(config, config.s2, i, t))
+    ranked = cols if branch == "s2" else column_count(config, t, *point_split(config, t, "s2"))
     return {
         "family": config.family,
         "t": t,
         "i": i,
         "branch": branch,
-        "points": s(t),
+        "points": config.s(branch)(t),
         "eta": eta,
         "mu": mu,
         "rows": rows,
@@ -212,11 +198,25 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     }
 
 
-def _point_split(config: LatticeConfig, s: Quasipolynomial, i: int, t: int) -> tuple[int, int]:
-    """(eta, mu) of s at order i: diff^i s(t) generic points and
-    diff^{i-1} s(t-ell) points inside each subspace."""
+def point_split(config: LatticeConfig, t: int, branch: str) -> tuple[int, int, int]:
+    """(i, eta, mu) at any t >= 1: the i = K(t) subspaces and the s(t)
+    points of a branch split by Newton's backward differences into
+    eta = diff^i s(t) generic points and mu = diff^{i-1} s(t-ell) points
+    inside each subspace.  A negative count, or a failed partition identity
+    sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t), raises NegativeCount."""
+    i = config.K(t)
+    s = config.s(branch)
     ell = config.ell
-    return backward_diff(s, i, t, ell), backward_diff(s, i - 1, t - ell, ell) if i >= 1 else 0
+    eta = backward_diff(s, i, t, ell)
+    mu = backward_diff(s, i - 1, t - ell, ell) if i >= 1 else 0
+    if eta < 0 or mu < 0:
+        raise NegativeCount(f"negative point count at t={t}, i={i}, {branch}: eta={eta}, mu={mu}")
+    total = sum(
+        binomial(i, j) * backward_diff(s, i - j, t - j * ell, ell) for j in range(i + 1)
+    )
+    if total != s(t):
+        raise NegativeCount(f"point partition at t={t} sums to {total}, expected {s(t)}")
+    return i, eta, mu
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +696,10 @@ def induction_arithmetic_check(config: LatticeConfig, t_range) -> list[str]:
 
 
 def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
-    """Identities pinning down s1/s2 against N and m, the plan of every
-    statement from config.t_first through t_max (point counts), and the
-    abundance of each base case up to t0; returns violations."""
+    """Identities pinning down s1/s2 against N and m, the point counts
+    (point_split) of every order-K(t) split from config.t_first through
+    t_max, and the abundance of each base case up to t0; returns
+    violations."""
     bad = []
     ell = config.ell
     s1, s2 = config.s1, config.s2
@@ -718,10 +719,11 @@ def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
     for t in range(config.t_first, t_max + 1):
         for branch in BRANCHES:
             try:
-                plan = plan_statement(config, t, branch)
+                i = point_split(config, t, branch)[0]
             except NegativeCount as exc:
                 bad.append(str(exc))
                 continue
-            if t <= config.t0 and plan["abundance"] == (SUPER if branch == "s1" else SUB):
-                bad.append(f"{branch} base case {plan['abundance'].lower()}abundant at t={t}")
+            kind = abundance(config, i, t, branch)
+            if t <= config.t0 and kind == (SUPER if branch == "s1" else SUB):
+                bad.append(f"{branch} base case {kind.lower()}abundant at t={t}")
     return bad

@@ -36,7 +36,9 @@ First it checks the certificate against the plan of its statement
 (bolattice.plan_statement for the recorded branch, or, without a
 trailer, for the branch whose form labels are the recorded ones) and
 refuses any step, fixed argument, label, order, abundance, shape or
-expected dimension that is not the plan's.  Both reverification and the
+expected dimension that is not the plan's; a t outside the base cases
+has no plan and is refused there.  The rank is taken by verification's
+own rank step and checked by its bound check.  Both reverification and the
 provenance check follow bolattice.form_plan: the plan gives each label
 its substream key and support.  When the trailer names our
 substream algorithm, the forms are additionally re-derived from the seed
@@ -57,7 +59,6 @@ import numpy as np
 from . import bolattice
 from .finite_calculus import PROOF_STEP
 from .gfpoly import DimensionMismatch, PrimeField
-from .gflinalg import rank_from_column_blocks
 from .sampling import SUBSTREAM_ALGORITHM, FormSampler, RecordedForms
 
 
@@ -309,13 +310,15 @@ def reverify(cert: Certificate) -> ReverifyReport:
 
     The family is the recorded one, or else the one its labels and t imply;
     the branch is the recorded one, or else the one whose plan has the
-    recorded labels.  Everything the plan fixes -- step, fixed argument,
-    labels, order, abundance, shape and expected dimension -- must agree
-    with it, or DimensionMismatch is raised before any rank work.  The rank
+    recorded labels.  A t with no statement (outside t_first..t0) raises
+    ValueError from the plan, and everything the plan fixes -- step, fixed
+    argument, labels, order, abundance, shape and expected dimension --
+    must agree with it, or DimensionMismatch is raised; both come before
+    any build.  The rank is taken and bounded as in verify_statement
+    (bolattice._rank_pass and _check_bound), so a recomputed rank above the
+    plan's expected dimension raises bolattice.RankContradiction.  The rank
     check is independent of the original RNG; the provenance check runs
-    when the substream algorithm matches ours.  A recomputed rank above the
-    plan's expected dimension raises bolattice.RankContradiction, as in
-    verify_statement.
+    when the substream algorithm matches ours.
     """
     family = cert.family or _infer_family(cert)
     config = bolattice.config_for(family)
@@ -340,15 +343,10 @@ def reverify(cert: Certificate) -> ReverifyReport:
     coeffs = dict(cert.forms)
     source = RecordedForms({key: np.asarray(coeffs[label], dtype=np.int64) for label, key, _ in planned})
     spec = bolattice.prepare_build(config, cert.t, plan["i"], plan["eta"], plan["mu"], source)
-    rank = rank_from_column_blocks(
-        bolattice.column_blocks(spec, PrimeField(cert.prime)), spec.rows, cert.prime,
-        total_cols=bolattice.kept_column_count(spec),
+    _, (rank, _, _) = bolattice._rank_pass(
+        spec, PrimeField(cert.prime), bolattice.kept_column_count(spec), None, 0.0
     )
-    if rank > plan["expected"]:
-        raise bolattice.RankContradiction(
-            f"{family} t={cert.t} {plan['branch']}: recomputed rank {rank} exceeds the expected "
-            f"dimension {plan['expected']}, an upper bound"
-        )
+    bolattice._check_bound(plan, rank, cert.seed)
 
     provenance = check_provenance(cert, spec)
     rank_matches = rank == cert.found

@@ -81,8 +81,6 @@ def _progress_printer(tag: str):
 def cmd_verify(args) -> int:
     config = bolattice.config_for(args.family)
     t_lo, t_hi = _parse_t_range(args.t)
-    if t_hi > config.t0:
-        raise UsageError(f"t beyond {config.t0} is not a base case; nothing to verify there")
     if args.retries < 0:
         raise UsageError(f"--retries must be >= 0, got {args.retries}")
     field = _field(args.prime)

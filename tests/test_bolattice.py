@@ -90,7 +90,7 @@ def test_point_partition_identity_wide():
     for cfg in (QUAT, CUB):
         for t in range(cfg.t_first, 201):
             for branch in ("s1", "s2"):
-                bo.plan_statement(cfg, t, branch)  # raises NegativeCount on violation
+                bo.point_split(cfg, t, branch)  # raises NegativeCount on violation
 
 
 def test_negative_count_detected():
@@ -814,7 +814,9 @@ def test_s1_plan_leads_the_s2_plan(cfg):
     the leading part of the s2 forms in emission order, with the same
     labels and keys, so the s1 stream is the leading part of the s2
     stream; and from order 2 on the two plans differ only in branch and
-    points."""
+    points.  On both branches the kept columns lie between the expected
+    rank and the full generator count, and at orders 0 and 1 the s1
+    stream keeps exactly as many columns as its expected rank."""
     for t in range(cfg.t_first, cfg.t0 + 1):
         plans = [bo.plan_statement(cfg, t, b) for b in bo.BRANCHES]
         forms = [list(bo.form_plan(cfg.family, t, p["i"], cfg.ell, p["eta"], p["mu"])) for p in plans]
@@ -822,6 +824,10 @@ def test_s1_plan_leads_the_s2_plan(cfg):
         kept = [bo.kept_column_count(SimpleNamespace(family=cfg.family, t=t, ell=cfg.ell, **{
             k: p[k] for k in ("i", "eta", "mu")})) for p in plans]
         assert kept[0] <= kept[1], t
+        for p, k in zip(plans, kept):
+            assert p["expected"] <= k <= p["cols"], (t, p["branch"])
+        if plans[0]["i"] <= 1:
+            assert kept[0] == plans[0]["expected"], t
         assert plans[0]["basis_bytes"] == plans[1]["basis_bytes"], t
         if plans[0]["i"] >= 2:
             same = [{k: v for k, v in p.items() if k not in ("branch", "points")} for p in plans]

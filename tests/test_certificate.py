@@ -181,7 +181,7 @@ def test_recomputed_rank_above_expected_is_a_contradiction(monkeypatch):
     """A recomputed rank above the plan's expected dimension, an upper
     bound, raises as in verify_statement instead of reporting a mismatch."""
     out, text = emit(QUAT, 6, "s2", seed=3)
-    monkeypatch.setattr(cert, "rank_from_column_blocks", lambda *args, **kwargs: out.expected + 1)
+    monkeypatch.setattr(bo, "rank_from_column_blocks", lambda *args, **kwargs: out.expected + 1)
     with pytest.raises(bo.RankContradiction, match="quaternary t=6 s2"):
         cert.reverify(cert.parse(text))
 
@@ -377,6 +377,52 @@ def test_quaternary_t1_certificate_refused(tmp_path, capsys):
     path.write_text(text)
     assert main(["reverify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("rebuild mismatch: ")
+
+
+@pytest.mark.parametrize("config", (QUAT, CUB), ids=lambda c: c.family)
+def test_certificate_beyond_t0_refused_before_any_build(config, tmp_path, capsys, monkeypatch):
+    """t0 + 1 is no base case.  A certificate there with every figure the
+    plan would check -- labels, shape, expected rank and abundance, taken
+    from the point split the plan would use -- is refused before anything
+    is built, by reverify and by the CLI; verification refuses the t too."""
+    from chowdefect.cli import main
+
+    t = config.t0 + 1
+
+    def no_build(*args, **kwargs):
+        pytest.fail(f"{config.family} t={t} reached prepare_build")
+
+    for branch in bo.BRANCHES:
+        i, eta, mu = bo.point_split(config, t, branch)
+        eliminated = bo.eliminated_row_count(config, t, i) if config.family == bo.CUBICS else 0
+        expected = bo.expected_dim(config, i, t, branch) - eliminated
+        n = 3 if config.family == bo.QUATERNARY else t
+        sampler = FormSampler(5, F)
+        forms = tuple(
+            (label, tuple(int(v) for v in sampler.linear_form(role, n, i=pi, j=pj, gamma=gamma, support=support)))
+            for label, (role, pi, pj, gamma), support in bo.form_plan(config.family, t, i, config.ell, eta, mu)
+        )
+        outcome = bo.VerificationOutcome(
+            family=config.family, t=t, i=i, branch=branch, abundance=bo.abundance(config, i, t, branch),
+            rows=config.N(t) - eliminated, cols=bo.column_count(config, t, i, eta, mu), expected=expected,
+            found=expected, verdict="TRUE", seed=5, prime=8191, resamples=0, retries=0,
+            construct_seconds=0.0, rank_seconds=0.0, attempts=((5, expected),), forms=forms,
+        )
+        text = cert.emit_text(outcome)
+        path = tmp_path / f"{config.family}_t{t:03d}_{branch}.cert"
+        path.write_text(text)
+
+        with monkeypatch.context() as m:
+            m.setattr(bo, "prepare_build", no_build)
+            with pytest.raises(ValueError, match=f"start at t={config.t_first}"):
+                bo.plan_statement(config, t, branch)
+            with pytest.raises(ValueError, match=f"start at t={config.t_first}"):
+                bo.verify_statement(config, t, branch, seed=5, field=F)
+            with pytest.raises(ValueError, match=f"start at t={config.t_first}"):
+                cert.reverify(cert.parse(text))
+            assert main(["reverify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rebuild mismatch: ") and f"t={t}" in err
 
 
 @pytest.mark.parametrize("statement", [

@@ -48,7 +48,10 @@ def test_verify_range_writes_certificates(tmp_path, capsys, monkeypatch):
 def test_verify_usage_errors(capsys):
     assert run(capsys, "verify", "--family", "quaternary", "--t", "0")[0] == 1
     assert run(capsys, "verify", "--family", "quaternary", "--t", "9..3")[0] == 1
-    assert run(capsys, "verify", "--family", "quaternary", "--t", "83")[0] == 1
+    for family in ("quaternary", "cubics"):
+        for t in ("83", "80..83"):
+            code, out, err = run(capsys, "verify", "--family", family, "--t", t)
+            assert code == 1 and out == "" and err.startswith("usage error:") and "t=83" in err
     assert run(capsys, "verify", "--family", "nonsense", "--t", "5")[0] == 1
     assert run(capsys, "verify", "--family", "quaternary", "--t", "5", "--prime", "8192")[0] == 1
     assert run(capsys, "verify", "--family", "quaternary", "--t", "5", "--threads", "2")[0] == 1
@@ -274,13 +277,11 @@ def test_reverify_internal_error_exits_1(tmp_path, capsys, monkeypatch):
 
 def test_reverify_rank_contradiction_exits_1(tmp_path, capsys, monkeypatch):
     # a recomputed rank above the expected dimension is an error, not a mismatch
-    import chowdefect.certificate as cert
-
     monkeypatch.chdir(tmp_path)
     run(capsys, "verify", "--family", "quaternary", "--t", "6", "--branch", "s2", "--seed", "12")
     path = tmp_path / "certificates" / "quaternary_t006_s2.cert"
     expected = bo.plan_statement(bo.config_for("quaternary"), 6, "s2")["expected"]
-    monkeypatch.setattr(cert, "rank_from_column_blocks", lambda *args, **kwargs: expected + 1)
+    monkeypatch.setattr(bo, "rank_from_column_blocks", lambda *args, **kwargs: expected + 1)
     code, _, err = run(capsys, "reverify", str(path))
     assert code == 1
     assert "RankContradiction" in err and "rebuild mismatch" not in err
