@@ -47,13 +47,14 @@ from .finite_calculus import (
     binomial,
     make_proof_functions,
 )
-from .gfpoly import (
+from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
     RESIDUE_DTYPE,
     LinearForm,
     PrimeField,
     division_map,
     lex_positions,
     monomial_exponents,
+    mul_linear,
     padded,
     product_of_linear_forms,
     products_omitting_each,
@@ -202,8 +203,7 @@ def point_split(config: LatticeConfig, t: int, branch: str) -> tuple[int, int, i
     """(i, eta, mu) at any t >= 1: the i = K(t) subspaces and the s(t)
     points of a branch split by Newton's backward differences into
     eta = diff^i s(t) generic points and mu = diff^{i-1} s(t-ell) points
-    inside each subspace.  A negative count, or a failed partition identity
-    sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t), raises NegativeCount."""
+    inside each subspace.  A negative count raises NegativeCount."""
     i = config.K(t)
     s = config.s(branch)
     ell = config.ell
@@ -211,11 +211,6 @@ def point_split(config: LatticeConfig, t: int, branch: str) -> tuple[int, int, i
     mu = backward_diff(s, i - 1, t - ell, ell) if i >= 1 else 0
     if eta < 0 or mu < 0:
         raise NegativeCount(f"negative point count at t={t}, i={i}, {branch}: eta={eta}, mu={mu}")
-    total = sum(
-        binomial(i, j) * backward_diff(s, i - j, t - j * ell, ell) for j in range(i + 1)
-    )
-    if total != s(t):
-        raise NegativeCount(f"point partition at t={t} sums to {total}, expected {s(t)}")
     return i, eta, mu
 
 
@@ -545,6 +540,17 @@ def _rank_pass(spec: BuildSpec, field: PrimeField, mark: int, progress: Progress
     return at_mark or end, end
 
 
+def rank_and_bound(plan: dict, spec: BuildSpec, field: PrimeField, seed: int) -> int:
+    """The rank of spec's whole column stream, checked against the plan's
+    expected dimension by verify_statement's bound check: a rank above it
+    raises RankContradiction.  certificate.reverify ranks through it."""
+    found = rank_from_column_blocks(
+        column_blocks(spec, field), spec.rows, field.modulus, total_cols=kept_column_count(spec)
+    )
+    _check_bound(plan, found, seed)
+    return found
+
+
 def _check_bound(plan: dict, found: int, seed: int) -> None:
     if found > plan["expected"]:
         raise RankContradiction(
@@ -698,8 +704,9 @@ def induction_arithmetic_check(config: LatticeConfig, t_range) -> list[str]:
 def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
     """Identities pinning down s1/s2 against N and m, the point counts
     (point_split) of every order-K(t) split from config.t_first through
-    t_max, and the abundance of each base case up to t0; returns
-    violations."""
+    t_max with their partition identity
+    sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t), and the abundance of each
+    base case up to t0; returns violations."""
     bad = []
     ell = config.ell
     s1, s2 = config.s1, config.s2
@@ -723,7 +730,10 @@ def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
             except NegativeCount as exc:
                 bad.append(str(exc))
                 continue
-            kind = abundance(config, i, t, branch)
-            if t <= config.t0 and kind == (SUPER if branch == "s1" else SUB):
+            s = config.s(branch)
+            total = sum(binomial(i, j) * backward_diff(s, i - j, t - j * ell, ell) for j in range(i + 1))
+            if total != s(t):
+                bad.append(f"point partition at t={t}, {branch} sums to {total}, expected {s(t)}")
+            if t <= config.t0 and (kind := abundance(config, i, t, branch)) == (SUPER if branch == "s1" else SUB):
                 bad.append(f"{branch} base case {kind.lower()}abundant at t={t}")
     return bad

@@ -37,8 +37,8 @@ First it checks the certificate against the plan of its statement
 trailer, for the branch whose form labels are the recorded ones) and
 refuses any step, fixed argument, label, order, abundance, shape or
 expected dimension that is not the plan's; a t outside the base cases
-has no plan and is refused there.  The rank is taken by verification's
-own rank step and checked by its bound check.  Both reverification and the
+has no plan and is refused there.  The rank is taken and checked by
+bolattice.rank_and_bound, with verification's bound check.  Both reverification and the
 provenance check follow bolattice.form_plan: the plan gives each label
 its substream key and support.  When the trailer names our
 substream algorithm, the forms are additionally re-derived from the seed
@@ -59,6 +59,7 @@ import numpy as np
 from . import bolattice
 from .finite_calculus import PROOF_STEP
 from .gfpoly import DimensionMismatch, PrimeField
+from .gflinalg import rank_from_column_blocks  # noqa: F401 -- stays patchable by name for perfbench
 from .sampling import SUBSTREAM_ALGORITHM, FormSampler, RecordedForms
 
 
@@ -314,8 +315,8 @@ def reverify(cert: Certificate) -> ReverifyReport:
     ValueError from the plan, and everything the plan fixes -- step, fixed
     argument, labels, order, abundance, shape and expected dimension --
     must agree with it, or DimensionMismatch is raised; both come before
-    any build.  The rank is taken and bounded as in verify_statement
-    (bolattice._rank_pass and _check_bound), so a recomputed rank above the
+    any build.  The rank is taken and bounded by bolattice.rank_and_bound,
+    with verify_statement's bound check, so a recomputed rank above the
     plan's expected dimension raises bolattice.RankContradiction.  The rank
     check is independent of the original RNG; the provenance check runs
     when the substream algorithm matches ours.
@@ -343,10 +344,7 @@ def reverify(cert: Certificate) -> ReverifyReport:
     coeffs = dict(cert.forms)
     source = RecordedForms({key: np.asarray(coeffs[label], dtype=np.int64) for label, key, _ in planned})
     spec = bolattice.prepare_build(config, cert.t, plan["i"], plan["eta"], plan["mu"], source)
-    _, (rank, _, _) = bolattice._rank_pass(
-        spec, PrimeField(cert.prime), bolattice.kept_column_count(spec), None, 0.0
-    )
-    bolattice._check_bound(plan, rank, cert.seed)
+    rank = bolattice.rank_and_bound(plan, spec, PrimeField(cert.prime), cert.seed)
 
     provenance = check_provenance(cert, spec)
     rank_matches = rank == cert.found

@@ -13,7 +13,7 @@ import pytest
 
 import chowdefect.bolattice as bo
 import chowdefect.certificate as cert
-from chowdefect.finite_calculus import Quasipolynomial, binomial
+from chowdefect.finite_calculus import Quasipolynomial, backward_diff, binomial
 from chowdefect.gfpoly import RESIDUE_DTYPE, PrimeField
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
@@ -90,7 +90,11 @@ def test_point_partition_identity_wide():
     for cfg in (QUAT, CUB):
         for t in range(cfg.t_first, 201):
             for branch in ("s1", "s2"):
-                bo.point_split(cfg, t, branch)  # raises NegativeCount on violation
+                i = bo.point_split(cfg, t, branch)[0]  # raises NegativeCount on a negative count
+                s = cfg.s(branch)
+                assert sum(
+                    binomial(i, j) * backward_diff(s, i - j, t - j * cfg.ell, cfg.ell) for j in range(i + 1)
+                ) == s(t), (cfg.family, t, branch)
 
 
 def test_negative_count_detected():
