@@ -27,7 +27,9 @@ A rank below expdim proves nothing (bad luck or a too-small field), so
 failed comparisons retry with derived seeds and finally report
 UNVERIFIED, never FALSE.  A rank above expdim contradicts the upper
 bound a_i(t) and raises RankContradiction: the arithmetic or the
-builder is wrong, and no retry can fix that.
+builder is wrong, and no retry can fix that.  Every statement rank,
+verification's and certificate.reverify's, is taken and bounded by one
+step, rank_and_bound.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ from .finite_calculus import (
     backward_diff,
     binomial,
     make_proof_functions,
+    newton_reconstruct,
 )
 from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for perfbench
     RESIDUE_DTYPE,
     LinearForm,
     PrimeField,
     division_map,
+    gather_blocks,
     lex_positions,
     monomial_exponents,
     mul_linear,
@@ -153,10 +157,13 @@ def a_i(config: LatticeConfig, i: int, t: int, branch: str) -> int:
     return val
 
 
-def abundance(config: LatticeConfig, i: int, t: int, branch: str) -> str:
-    a = a_i(config, i, t, branch)
-    n = config.N(t)
+def _abundance_of(a: int, n: int) -> str:
+    """SUB, SUPER or EQUI as the bound a is below, above or at the ambient n."""
     return SUB if a < n else SUPER if a > n else EQUI
+
+
+def abundance(config: LatticeConfig, i: int, t: int, branch: str) -> str:
+    return _abundance_of(a_i(config, i, t, branch), config.N(t))
 
 
 def expected_dim(config: LatticeConfig, i: int, t: int, branch: str) -> int:
@@ -179,8 +186,9 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
             f"{config.family} statements start at t={config.t_first} and end at t={config.t0}; none at t={t}"
         )
     i, eta, mu = point_split(config, t, branch)
+    a, n = a_i(config, i, t, branch), config.N(t)
     eliminated = eliminated_row_count(config, t, i) if config.family == CUBICS else 0
-    rows = config.N(t) - eliminated
+    rows = n - eliminated
     cols = column_count(config, t, i, eta, mu)
     ranked = cols if branch == "s2" else column_count(config, t, *point_split(config, t, "s2"))
     return {
@@ -193,8 +201,8 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
         "mu": mu,
         "rows": rows,
         "cols": cols,
-        "expected": expected_dim(config, i, t, branch) - eliminated,
-        "abundance": abundance(config, i, t, branch),
+        "expected": min(a, n) - eliminated,
+        "abundance": _abundance_of(a, n),
         "basis_bytes": basis_bytes(rows, ranked),
     }
 
@@ -219,8 +227,8 @@ def point_split(config: LatticeConfig, t: int, branch: str) -> tuple[int, int, i
 
 
 # Column generators yield (src, index) groups: the group's columns are
-# take(src, index[c]) for each row c of index, so column_blocks gathers
-# them straight into the block buffer.  For tangent columns src is a
+# take(src, index[c]) for each row c of index, so gfpoly.gather_blocks
+# writes them straight into the blocks.  For tangent columns src is a
 # padded partial product and index holds division-map rows, one per x_v.
 # Sources and blocks are RESIDUE_DTYPE (int16), which holds every entry
 # below P < 2^15 exactly; the rank engine widens a block to float64 only
@@ -404,34 +412,18 @@ def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK
     """The statement's kept generators as a stream of (spec.rows x <= block)
     RESIDUE_DTYPE column blocks; their rank is the rank of the full matrix.
 
-    Columns are generated as the blocks are pulled and written straight
-    into an F-order int16 block buffer, 2 bytes an entry, which the rank
-    widens to float64 only as it permutes the block; for dimension
-    induction only the rows in Y are written.  Every block gets a fresh
-    buffer, so blocks already handed out never change.  A drained stream
-    whose column count is not kept_column_count(spec) raises
-    AssertionError.
+    Columns are generated as the blocks are pulled and gathered by
+    gfpoly.gather_blocks, as the oracle's are, straight into fresh F-order
+    int16 blocks, which the rank widens to float64 only as it permutes
+    them; for dimension induction only the rows in Y are written.  A
+    drained stream whose column count is not kept_column_count(spec)
+    raises AssertionError.
     """
     groups = _degree_columns(spec, field) if spec.family == QUATERNARY else _dimension_columns(spec, field)
-    buf = np.empty((spec.rows, block), dtype=RESIDUE_DTYPE, order="F")
-    k = emitted = 0
-    for src, index in groups:
-        at = 0
-        while at < len(index):
-            w = min(len(index) - at, block - k)
-            # the transpose of an F-order column slice is C-contiguous, so take
-            # writes it in place; every index is in range, so clip never clips
-            np.take(src, index[at : at + w], out=buf[:, k : k + w].T, mode="clip")
-            at += w
-            k += w
-            if k == block:
-                yield buf
-                emitted += k
-                buf = np.empty((spec.rows, block), dtype=RESIDUE_DTYPE, order="F")
-                k = 0
-    if k:
-        yield buf[:, :k]
-        emitted += k
+    emitted = 0
+    for B in gather_blocks(groups, spec.rows, block):
+        yield B
+        emitted += B.shape[1]
     kept = kept_column_count(spec)
     if emitted != kept:
         raise AssertionError(f"generated {emitted} columns, the plan keeps {kept}")
@@ -463,24 +455,6 @@ class VerificationOutcome:
     forms: tuple                # ((label, coeffs tuple), ...) of the final attempt
 
 
-class _PullTimer:
-    """Iterator over column blocks that times only the pulls."""
-
-    def __init__(self, blocks: Iterator[np.ndarray]):
-        self.blocks = iter(blocks)
-        self.seconds = 0.0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.ndarray:
-        tic = time.perf_counter()
-        try:
-            return next(self.blocks)
-        finally:
-            self.seconds += time.perf_counter() - tic
-
-
 class _DrawnFirst:
     """A form source that replays forms already drawn and samples the rest."""
 
@@ -495,72 +469,64 @@ class _DrawnFirst:
         return coeffs
 
 
-def _split_at(blocks: Iterator[np.ndarray], mark: int) -> Iterator[np.ndarray]:
-    """The blocks, with the one that straddles column `mark` split there."""
-    done = 0
-    for B in blocks:
-        cut = mark - done
-        done += B.shape[1]
-        if 0 < cut < B.shape[1]:
-            yield B[:, :cut]
-            B = B[:, cut:]
-        yield B
+def rank_and_bound(
+    passes: list[tuple[dict, BuildSpec]], field: PrimeField, seed: int, progress: ProgressHook | None = None
+) -> list[tuple[int, float, float]]:
+    """Rank the last spec's column stream once, and for each (plan, spec)
+    pair read (found, pull_seconds, rank_seconds) at kept_column_count(spec)
+    and check found against the plan's expected dimension, an upper bound:
+    a rank above it raises RankContradiction.  Each earlier spec's stream
+    must lead the last one's, as an s1 spec's leads its s2 spec's.
 
-
-def _rank_pass(spec: BuildSpec, field: PrimeField, mark: int, progress: ProgressHook | None, prepared: float):
-    """Rank the spec's column stream and read the rank at column `mark` on
-    the way: (found, construct_seconds, rank_seconds) at the mark and at
-    the end.
-
-    Columns are generated while the rank pulls them, so the pulls are
-    charged to construction, on top of the `prepared` seconds the forms
-    took.  The block that straddles the mark is split there, so that the
-    rank's per-block progress report falls on it.  With no report at the
-    mark (the stream reached full row rank before it) the mark takes the
-    end's figures; the rank of no columns is 0.
+    Columns are generated as the rank pulls them; the pulls are timed
+    apart.  A block that straddles an earlier mark is split there, so
+    that the rank's per-block report, which `progress` also receives,
+    falls on it.  A mark with no report (full row rank came first) takes
+    the end's figures, as the last pair does; at mark 0 the rank is 0.
     """
-    pulls = _PullTimer(column_blocks(spec, field))
+    *leading, (_, spec) = passes
+    at = {kept_column_count(lead): None for _, lead in leading}
+    pulled = 0.0
     tic = time.perf_counter()
 
     def figures(found):
-        return found, prepared + pulls.seconds, time.perf_counter() - tic - pulls.seconds
+        return found, pulled, time.perf_counter() - tic - pulled
 
-    at_mark = figures(0) if mark == 0 else None
+    def pulls(blocks):
+        nonlocal pulled
+        done, clock = 0, time.perf_counter()
+        for B in blocks:
+            pulled += time.perf_counter() - clock
+            cuts = [mark - done for mark in at if 0 < mark - done < B.shape[1]]
+            done += B.shape[1]
+            for a, b in zip([0, *cuts], [*cuts, B.shape[1]]):
+                yield B[:, a:b]
+            clock = time.perf_counter()
+        pulled += time.perf_counter() - clock
 
     def hook(done, total, rank):
-        nonlocal at_mark
-        if done == mark:
-            at_mark = figures(rank)
+        if done in at:
+            at[done] = figures(rank)
         if progress is not None:
             progress(done, total, rank)
 
+    if 0 in at:
+        at[0] = figures(0)
     end = figures(rank_from_column_blocks(
-        _split_at(pulls, mark), spec.rows, field.modulus, total_cols=kept_column_count(spec), progress=hook,
+        pulls(column_blocks(spec, field)), spec.rows, field.modulus, total_cols=kept_column_count(spec), progress=hook,
     ))
-    return at_mark or end, end
-
-
-def rank_and_bound(plan: dict, spec: BuildSpec, field: PrimeField, seed: int) -> int:
-    """The rank of spec's whole column stream, checked against the plan's
-    expected dimension by verify_statement's bound check: a rank above it
-    raises RankContradiction.  certificate.reverify ranks through it."""
-    found = rank_from_column_blocks(
-        column_blocks(spec, field), spec.rows, field.modulus, total_cols=kept_column_count(spec)
-    )
-    _check_bound(plan, found, seed)
-    return found
-
-
-def _check_bound(plan: dict, found: int, seed: int) -> None:
-    if found > plan["expected"]:
-        raise RankContradiction(
-            f"{plan['family']} t={plan['t']} {plan['branch']}: rank {found} exceeds the expected "
-            f"dimension {plan['expected']}, an upper bound (seed {seed})"
-        )
+    read = [at[kept_column_count(lead)] or end for _, lead in leading] + [end]
+    for (plan, _), (found, _, _) in zip(passes, read):
+        if found > plan["expected"]:
+            raise RankContradiction(
+                f"{plan['family']} t={plan['t']} {plan['branch']}: rank {found} exceeds the expected "
+                f"dimension {plan['expected']}, an upper bound (seed {seed})"
+            )
+    return read
 
 
 def _outcome(
-    plan: dict, spec: BuildSpec, field: PrimeField, attempts: list, resamples: int, seconds
+    plan: dict, spec: BuildSpec, field: PrimeField, attempts: list, resamples: int, prepared: float, seconds
 ) -> VerificationOutcome:
     """The outcome of the plan's statement, whose last attempt drew spec's forms."""
     seed, found = attempts[-1]
@@ -579,7 +545,7 @@ def _outcome(
         prime=field.modulus,
         resamples=resamples,
         retries=len(attempts) - 1,
-        construct_seconds=seconds[0],
+        construct_seconds=prepared + seconds[0],
         rank_seconds=seconds[1],
         attempts=tuple(attempts),
         forms=tuple((label, tuple(int(v) for v in coeffs)) for label, coeffs in spec.forms),
@@ -641,23 +607,19 @@ def verify_statement(
         tic = time.perf_counter()
         spec = prepare_build(config, t, plan["i"], plan["eta"], plan["mu"], sampler)
         resamples = sampler.resamples
-        ranked = spec
+        passes = [(plan, spec)]
         if branch == "s1" and attempt == 0:
             s2 = plan_statement(config, t, "s2")
-            ranked = prepare_build(config, t, s2["i"], s2["eta"], s2["mu"], _DrawnFirst(spec.keyed, sampler))
-        (found, *seconds), whole = _rank_pass(
-            ranked, field, kept_column_count(spec), progress, time.perf_counter() - tic
-        )
+            passes.append((s2, prepare_build(config, t, s2["i"], s2["eta"], s2["mu"], _DrawnFirst(spec.keyed, sampler))))
+        prepared = time.perf_counter() - tic
+        (found, *seconds), *whole = rank_and_bound(passes, field, attempt_seed, progress)
         attempts.append((attempt_seed, found))
-        _check_bound(plan, found, attempt_seed)
-        if ranked is not spec:
-            _check_bound(s2, whole[0], seed)
-            if whole[0] == s2["expected"]:
-                s2_outcome = _outcome(s2, ranked, field, [(seed, whole[0])], sampler.resamples, whole[1:])
-                handoff = ((config, t, seed, field.modulus), s2_outcome)
+        if whole and whole[0][0] == s2["expected"]:
+            s2_outcome = _outcome(s2, passes[1][1], field, [(seed, whole[0][0])], sampler.resamples, prepared, whole[0][1:])
+            handoff = ((config, t, seed, field.modulus), s2_outcome)
         if found == plan["expected"]:
             break
-    outcome = _outcome(plan, spec, field, attempts, resamples, seconds)
+    outcome = _outcome(plan, spec, field, attempts, resamples, prepared, seconds)
     _handoff = handoff
     return outcome
 
@@ -704,9 +666,10 @@ def induction_arithmetic_check(config: LatticeConfig, t_range) -> list[str]:
 def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
     """Identities pinning down s1/s2 against N and m, the point counts
     (point_split) of every order-K(t) split from config.t_first through
-    t_max with their partition identity
-    sum_j C(i,j) diff^{i-j} s(t - j*ell) = s(t), and the abundance of each
-    base case up to t0; returns violations."""
+    t_max with their partition identity, Newton's backward reconstruction
+    newton_reconstruct(s, i, t, ell) = sum_j C(i,j) diff^{i-j} s(t - j*ell)
+    = s(t), and the abundance of each base case up to t0; returns
+    violations."""
     bad = []
     ell = config.ell
     s1, s2 = config.s1, config.s2
@@ -731,8 +694,7 @@ def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
                 bad.append(str(exc))
                 continue
             s = config.s(branch)
-            total = sum(binomial(i, j) * backward_diff(s, i - j, t - j * ell, ell) for j in range(i + 1))
-            if total != s(t):
+            if (total := newton_reconstruct(s, i, t, ell)) != s(t):
                 bad.append(f"point partition at t={t}, {branch} sums to {total}, expected {s(t)}")
             if t <= config.t0 and (kind := abundance(config, i, t, branch)) == (SUPER if branch == "s1" else SUB):
                 bad.append(f"{branch} base case {kind.lower()}abundant at t={t}")

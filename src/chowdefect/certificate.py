@@ -38,7 +38,8 @@ trailer, for the branch whose form labels are the recorded ones) and
 refuses any step, fixed argument, label, order, abundance, shape or
 expected dimension that is not the plan's; a t outside the base cases
 has no plan and is refused there.  The rank is taken and checked by
-bolattice.rank_and_bound, with verification's bound check.  Both reverification and the
+bolattice.rank_and_bound, verification's own rank step, with the
+statement's spec as its only pass.  Both reverification and the
 provenance check follow bolattice.form_plan: the plan gives each label
 its substream key and support.  When the trailer names our
 substream algorithm, the forms are additionally re-derived from the seed
@@ -316,7 +317,7 @@ def reverify(cert: Certificate) -> ReverifyReport:
     argument, labels, order, abundance, shape and expected dimension --
     must agree with it, or DimensionMismatch is raised; both come before
     any build.  The rank is taken and bounded by bolattice.rank_and_bound,
-    with verify_statement's bound check, so a recomputed rank above the
+    the rank step of verify_statement, so a recomputed rank above the
     plan's expected dimension raises bolattice.RankContradiction.  The rank
     check is independent of the original RNG; the provenance check runs
     when the substream algorithm matches ours.
@@ -344,7 +345,7 @@ def reverify(cert: Certificate) -> ReverifyReport:
     coeffs = dict(cert.forms)
     source = RecordedForms({key: np.asarray(coeffs[label], dtype=np.int64) for label, key, _ in planned})
     spec = bolattice.prepare_build(config, cert.t, plan["i"], plan["eta"], plan["mu"], source)
-    rank = bolattice.rank_and_bound(plan, spec, PrimeField(cert.prime), cert.seed)
+    [(rank, _, _)] = bolattice.rank_and_bound([(plan, spec)], PrimeField(cert.prime), cert.seed)
 
     provenance = check_provenance(cert, spec)
     rank_matches = rank == cert.found

@@ -13,11 +13,12 @@ tangent space at a generic point.
 The oracle samples s independent generic points over Z_P and takes the
 rank of all their tangent columns, streamed into
 gflinalg.rank_from_column_blocks one point's block at a time, so that
-only the block in hand and the rank's basis are held.  A tall case, with
-more rows than the s(dn+1) columns, is the exception: its blocks are
-stacked, one point at a time, into one int16 matrix and the transpose
-is ranked, whose basis vectors are s(dn+1) entries long instead of
-C(n+d,d).  By semicontinuity a rank equal to the expected affine
+only the block in hand and the rank's basis are held; each block is
+gathered by gfpoly.gather_blocks, as the statement builders' are.  A
+tall case, with more rows than the s(dn+1) columns, is the exception:
+its blocks are stacked, one point at a time, into one int16 matrix and
+the transpose is ranked, whose basis vectors are s(dn+1) entries long
+instead of C(n+d,d).  By semicontinuity a rank equal to the expected affine
 dimension certifies nondefectivity, while a smaller rank proves nothing
 (small field or unlucky points), so it is only ever reported as
 inconclusive evidence unless the case is one of the known defective
@@ -37,6 +38,7 @@ from .gfpoly import (  # noqa: F401 -- mul_linear stays patchable by name for pe
     LinearForm,
     PrimeField,
     division_map,
+    gather_blocks,
     monomial_count,
     mul_linear,
     tangent_groups,
@@ -99,10 +101,16 @@ def tangent_columns(point: ChowPoint) -> np.ndarray:
     vector of x_v * prod_{g != b} l_g, without the d - 1 that
     gfpoly.tangent_groups drops as combinations of the others: dn+1
     columns, which span the whole tangent space, of dimension dn+1 at a
-    generic point.
+    generic point.  gfpoly.gather_blocks writes them straight into the
+    block, as it writes the statement builders' columns; a block of any
+    other width raises AssertionError.
     """
+    width = point.d * point.n + 1
     groups = tangent_groups(list(point.factors), division_map(point.n, point.d - 1))
-    return np.vstack([np.take(src, index) for src, index in groups]).T
+    block, *more = gather_blocks(groups, monomial_count(point.n, point.d), width)
+    if more or block.shape[1] != width:
+        raise AssertionError(f"the tangent columns are not one block of {width}")
+    return block
 
 
 def sample_point(sampler: FormSampler, d: int, n: int, index: int) -> ChowPoint:
@@ -116,14 +124,14 @@ def sample_point(sampler: FormSampler, d: int, n: int, index: int) -> ChowPoint:
 
 def oracle_bytes(problem: SecantProblem) -> int:
     """What terracini_rank holds at its peak: the rank's own price,
-    gflinalg.basis_bytes (its basis and block working set), plus one
-    point's block beside it, as taken and as stacked (int16, 2 bytes an
-    entry each), with the division map, of n+1 <= dn+1 intp entries per
-    row.  A tall case also holds its int16 stack of all the columns."""
+    gflinalg.basis_bytes (its basis and block working set), plus the next
+    point's block, gathered straight into place (int16, 2 bytes an entry),
+    with the division map, of n+1 <= dn+1 intp entries per row.  A tall
+    case also holds its int16 stack of all the columns."""
     rows = monomial_count(problem.n, problem.d)
     width = problem.d * problem.n + 1
     cols = problem.s * width
-    point = (2 + 2 + 8) * rows * width
+    point = (2 + 8) * rows * width
     if rows > cols:  # the transpose is ranked, in blocks of the default width
         return gflinalg.basis_bytes(cols, rows) + 2 * rows * cols + point
     return gflinalg.basis_bytes(rows, cols, width) + point

@@ -21,7 +21,7 @@ it divides, so each row of the map is scattered from the lex positions
 of those products.  Families of products that each omit one factor
 come from a product tree built on that kernel, and tangent_groups turns
 them into the gather groups of the tangent columns that can add to the
-span.
+span, which gather_blocks writes into int16 column blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -388,6 +388,30 @@ def tangent_groups(
         v = int(np.flatnonzero(forms[h].coeffs)[0])  # a LinearForm is never zero
         yield src, G[:v]
         yield src, G[v + 1 :]
+
+
+def gather_blocks(groups: Iterable[tuple[np.ndarray, np.ndarray]], rows: int, width: int) -> Iterator[np.ndarray]:
+    """The columns take(src, index[r]) of gather groups (src, index), as
+    tangent_groups yields them, written straight into F-order
+    RESIDUE_DTYPE blocks of `rows` x `width`, the last one narrower.
+    Each block is a fresh buffer, so blocks handed out never change."""
+    k = 0
+    for src, index in groups:
+        at = 0
+        while at < len(index):
+            if k == 0:
+                buf = np.empty((rows, width), dtype=RESIDUE_DTYPE, order="F")
+            w = min(len(index) - at, width - k)
+            # the transpose of an F-order column slice is C-contiguous, so take
+            # writes it in place; every index is in range, so clip never clips
+            np.take(src, index[at : at + w], out=buf[:, k : k + w].T, mode="clip")
+            at += w
+            k += w
+            if k == width:
+                yield buf
+                k = 0
+    if k:
+        yield buf[:, :k]
 
 
 def naive_product_oracle(forms: list[LinearForm]) -> HomPoly:

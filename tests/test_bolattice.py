@@ -718,18 +718,41 @@ def counting_rank(monkeypatch, calls, report=None, end=None):
 
 @pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)
 @pytest.mark.parametrize("t", (2, 16, 28, 30))
-def test_shared_pass_outcomes_equal_lone_ones(cfg, t):
+def test_shared_pass_outcomes_equal_lone_ones(monkeypatch, cfg, t):
     """Orders 0 and 1: the s1 outcome read at the mark and the s2 outcome
     handed on equal those of each stream ranked on its own, field for
-    field, and so do their certificates, byte for byte."""
+    field, and so do their certificates, byte for byte; the pair took
+    one rank call."""
+    calls = []
+    counting_rank(monkeypatch, calls)
     seed = 20260809
     s1 = bo.verify_statement(cfg, t, "s1", seed=seed, field=F)
     s2 = bo.verify_statement(cfg, t, "s2", seed=seed, field=F)
+    assert len(calls) == 1
     for out in (s1, s2):
         lone = lone_outcome(cfg, t, out.branch, seed)
         assert untimed(out) == lone
         assert cert.emit_text(untimed(out)) == cert.emit_text(lone)
         assert out.verdict == "TRUE"
+
+
+def test_rank_step_reads_each_leading_stream_at_its_mark():
+    """rank_and_bound ranks the last stream once and reads each leading
+    stream's rank at its mark: one of 0 columns, one that ends inside a
+    256-column block (192 columns) and one that ends on a block boundary
+    (256).  Each read equals the rank of that stream ranked alone, and
+    the caller's hook sees every block, split at the marks."""
+    t = 21  # order 0, 3t+1 = 64 columns a point: 3 points end inside a block, 4 on its edge
+    plan = bo.plan_statement(QUAT, t, "s2")
+    specs = [bo.prepare_build(QUAT, t, 0, eta, 0, FormSampler(5, F)) for eta in (0, 3, 4, 6)]
+    assert [bo.kept_column_count(spec) for spec in specs] == [0, 192, 256, 384]
+    seen = []
+    read = bo.rank_and_bound([(plan, spec) for spec in specs], F, 5, lambda *report: seen.append(report))
+    assert [found for found, _, _ in read] == [
+        rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, F.modulus) for spec in specs
+    ] == [0, 192, 256, 384]
+    assert [(done, total) for done, total, _ in seen] == [(192, 384), (256, 384), (384, 384)]
+    assert read[0][1] == 0.0 and all(pulled >= 0 and ranked >= 0 for _, pulled, ranked in read)
 
 
 @pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)

@@ -106,14 +106,19 @@ def emit(config, t, branch, seed):
     return out, cert.emit_text(out)
 
 
-def test_roundtrip_on_own_certificates():
+def test_roundtrip_on_own_certificates(monkeypatch):
+    calls = []
+    real = bo.rank_from_column_blocks
+    monkeypatch.setattr(bo, "rank_from_column_blocks", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     for config, t, branch in ((QUAT, 5, "s1"), (QUAT, 7, "s2"), (CUB, 6, "s1"), (CUB, 1, "s2")):
         out, text = emit(config, t, branch, seed=31415)
         c = cert.parse(text)
         assert cert.render(c) == text
         assert (c.rows, c.cols) == (out.rows, out.cols)
         assert c.family == config.family and c.branch == branch
+        before = len(calls)
         report = cert.reverify(c)
+        assert len(calls) == before + 1  # one rank call, through bolattice.rank_and_bound
         assert report.ok and report.provenance == "confirmed"
 
 

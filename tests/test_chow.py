@@ -22,6 +22,7 @@ from chowdefect.gfpoly import (
     PrimeField,
     division_map,
     monomial_count,
+    tangent_groups,
 )
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
@@ -45,6 +46,20 @@ def test_secant_problem_validation():
 def tangent_rank(point):
     block = tangent_columns(point)
     return rank_from_column_blocks(iter([block]), block.shape[0], F.modulus)
+
+
+@pytest.mark.parametrize("d, n", [(3, 12), (4, 8), (3, 20), (4, 10), (2, 4), (3, 3), (3, 5), (3, 2), (1, 4), (1, 7)])
+def test_tangent_columns_equal_the_stacked_takes(d, n):
+    """Every (d, n) of the benchmark's oracle cases and the small oracle
+    cases: the block gathered by gfpoly.gather_blocks is the stack of the
+    tangent groups' takes, int16 and F-contiguous."""
+    point = sample_point(FormSampler(41, F), d, n, 0)
+    groups = tangent_groups(list(point.factors), division_map(n, d - 1))
+    want = np.vstack([np.take(src, index) for src, index in groups]).T
+    got = tangent_columns(point)
+    assert got.dtype == RESIDUE_DTYPE and got.flags.f_contiguous
+    assert got.shape == (monomial_count(n, d), d * n + 1)
+    assert np.array_equal(got, want)
 
 
 def test_tangent_rank_product_of_two_lines():
