@@ -13,7 +13,6 @@ from .finite_calculus import (
     binomial,
     make_proof_functions,
     newton_reconstruct,
-    qp_eval,
 )
 from .gfpoly import (
     BudgetExceeded,
@@ -25,7 +24,6 @@ from .gfpoly import (
     PrimeField,
     monomial_count,
     monomial_rank,
-    monomial_unrank,
     mul_linear,
     naive_product_oracle,
     product_of_linear_forms,
@@ -46,7 +44,6 @@ from .bolattice import (
     RankContradiction,
     VerificationOutcome,
     a_i,
-    abundance,
     base_case_schedule,
     config_for,
     induction_arithmetic_check,

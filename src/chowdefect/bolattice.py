@@ -157,29 +157,18 @@ def a_i(config: LatticeConfig, i: int, t: int, branch: str) -> int:
     return val
 
 
-def _abundance_of(a: int, n: int) -> str:
-    """SUB, SUPER or EQUI as the bound a is below, above or at the ambient n."""
-    return SUB if a < n else SUPER if a > n else EQUI
-
-
-def abundance(config: LatticeConfig, i: int, t: int, branch: str) -> str:
-    return _abundance_of(a_i(config, i, t, branch), config.N(t))
-
-
-def expected_dim(config: LatticeConfig, i: int, t: int, branch: str) -> int:
-    return min(a_i(config, i, t, branch), config.N(t))
-
-
 def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     """Every figure of the order-K(t) statement on one branch, without
     building anything: the one place they are computed.
 
-    The point split (point_split) fixes the shape, the expected rank (for
-    cubics, with the rows the subspaces span eliminated) and the rank's
-    memory price.  Both branches are priced at the s2 shape, as an s1
-    verification ranks the s2 stream (see verify_statement).  Only a t
-    from config.t_first to t0 has a statement, by this rule alone; any
-    other t raises ValueError, and a bad point count NegativeCount.
+    The point split (point_split) fixes the shape, the expected rank
+    min(a_i, N) (for cubics, with the rows the subspaces span eliminated),
+    the abundance (SUB, SUPER or EQUI as a_i is below, above or at N) and
+    the rank's memory price.  Both branches are priced at the s2 shape,
+    as an s1 verification ranks the s2 stream (see verify_statement).
+    Only a t from config.t_first to t0 has a statement, by this rule
+    alone; any other t raises ValueError, and a bad point count
+    NegativeCount.
     """
     if not config.t_first <= t <= config.t0:
         raise ValueError(
@@ -202,7 +191,7 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
         "rows": rows,
         "cols": cols,
         "expected": min(a, n) - eliminated,
-        "abundance": _abundance_of(a, n),
+        "abundance": SUB if a < n else SUPER if a > n else EQUI,
         "basis_bytes": basis_bytes(rows, ranked),
     }
 
@@ -321,8 +310,11 @@ def form_plan(
 
 
 def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
-    """Draw a statement's forms and fix its shape; `source` is a FormSampler
-    (normal runs) or RecordedForms (reverify)."""
+    """Draw a statement's forms and fix its shape: the one walk of form_plan
+    that draws forms.  `source` is a FormSampler (verification, and the
+    provenance check's re-draw from the seed) or RecordedForms (reverify).
+    A sampler draws each key once, so the s2 spec prepared with the s1
+    spec's sampler holds the s1 forms themselves."""
     n = 3 if config.family == QUATERNARY else t
     ell = config.ell
     forms: list[tuple[str, np.ndarray]] = []
@@ -455,20 +447,6 @@ class VerificationOutcome:
     forms: tuple                # ((label, coeffs tuple), ...) of the final attempt
 
 
-class _DrawnFirst:
-    """A form source that replays forms already drawn and samples the rest."""
-
-    def __init__(self, drawn: dict[tuple, np.ndarray], sampler: FormSampler):
-        self.drawn = drawn
-        self.sampler = sampler
-
-    def linear_form(self, role, n, i=0, j=0, gamma=0, support=None) -> np.ndarray:
-        coeffs = self.drawn.get((role, i, j, gamma))
-        if coeffs is None:
-            coeffs = self.sampler.linear_form(role, n, i=i, j=j, gamma=gamma, support=support)
-        return coeffs
-
-
 def rank_and_bound(
     passes: list[tuple[dict, BuildSpec]], field: PrimeField, seed: int, progress: ProgressHook | None = None
 ) -> list[tuple[int, float, float]]:
@@ -580,9 +558,10 @@ def verify_statement(
     One rank pass serves both branches of a t.  The s2 forms are the s1
     forms followed by those of one more point (form_plan), so the s2
     column stream begins with the s1 stream, and from order 2 on it is
-    the s1 stream.  An s1 call ranks the s2 stream of its seed and reads
-    its own rank at the s1 mark, kept_column_count of its spec; its
-    timings run up to the mark.  A rank above the expected dimension at
+    the s1 stream.  An s1 call prepares the s2 spec with its own sampler,
+    which returns the s1 forms it drew and draws only the extra point's,
+    ranks the s2 stream and reads its own rank at the s1 mark,
+    kept_column_count of its spec; its timings run up to the mark.  A rank above the expected dimension at
     the mark or, for s2, at the end raises RankContradiction, and a
     shortfall at the mark retries s1 alone.  When the s2 rank is the
     expected one, the s2 outcome, timed over the whole pass, is handed
@@ -610,7 +589,7 @@ def verify_statement(
         passes = [(plan, spec)]
         if branch == "s1" and attempt == 0:
             s2 = plan_statement(config, t, "s2")
-            passes.append((s2, prepare_build(config, t, s2["i"], s2["eta"], s2["mu"], _DrawnFirst(spec.keyed, sampler))))
+            passes.append((s2, prepare_build(config, t, s2["i"], s2["eta"], s2["mu"], sampler)))
         prepared = time.perf_counter() - tic
         (found, *seconds), *whole = rank_and_bound(passes, field, attempt_seed, progress)
         attempts.append((attempt_seed, found))
@@ -696,6 +675,7 @@ def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
             s = config.s(branch)
             if (total := newton_reconstruct(s, i, t, ell)) != s(t):
                 bad.append(f"point partition at t={t}, {branch} sums to {total}, expected {s(t)}")
-            if t <= config.t0 and (kind := abundance(config, i, t, branch)) == (SUPER if branch == "s1" else SUB):
+            kind = plan_statement(config, t, branch)["abundance"] if t <= config.t0 else None
+            if kind == (SUPER if branch == "s1" else SUB):
                 bad.append(f"{branch} base case {kind.lower()}abundant at t={t}")
     return bad

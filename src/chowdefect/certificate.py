@@ -14,9 +14,10 @@ layout is line oriented:
     T_<i>(<n-or-d>, <t>, <ell>) is <TRUE|UNVERIFIED> (<...>ABUNDANT)
 
 followed by a blank line and a key=value trailer (family, branch,
-substream algorithm, retry and resample counts).  Coefficients are
-right-aligned to the width of P-1 and space separated.  Timing lines are
-preserved verbatim through parse/emit round-trips and excluded from the
+substream algorithm, retry and resample counts; each key at most once,
+and nothing after the trailer).  Coefficients are right-aligned to the
+width of P-1 and space separated.  Timing lines are preserved verbatim
+through parse/emit round-trips and excluded from the
 determinism guarantee; everything else is byte-reproducible from the
 seed.  An s1 call ranks the s2 stream, which begins with the s1 columns,
 and hands the s2 outcome on (bolattice.verify_statement): the s1 timing
@@ -39,14 +40,15 @@ refuses any step, fixed argument, label, order, abundance, shape or
 expected dimension that is not the plan's; a t outside the base cases
 has no plan and is refused there.  The rank is taken and checked by
 bolattice.rank_and_bound, verification's own rank step, with the
-statement's spec as its only pass.  Both reverification and the
-provenance check follow bolattice.form_plan: the plan gives each label
-its substream key and support.  When the trailer names our
-substream algorithm, the forms are additionally re-derived from the seed
-and compared byte for byte, which catches any
-tampering with recorded coefficients (a single flipped coefficient still
-yields a generic configuration of the same rank, so the rank check alone
-cannot see it).
+statement's spec as its only pass.  Reverification follows
+bolattice.form_plan, which gives each label its substream key and
+support.  When the trailer names our substream algorithm, the provenance
+check re-draws the forms from the seed through bolattice.prepare_build,
+the one walk of the form plan that draws forms, and compares them with
+the recorded ones byte for byte, which catches any tampering with
+recorded coefficients (a single flipped coefficient still yields a
+generic configuration of the same rank, so the rank check alone cannot
+see it).
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ class Certificate:
     resamples: int | None = None
 
 
+# The trailer's keys, in the order render writes them: Certificate fields.
+_TRAILER_KEYS = ("family", "branch", "substream", "retries", "resamples")
+
+
 def _format_form(label: str, coeffs, width: int) -> str:
     body = " ".join(str(int(c)).rjust(width) for c in coeffs)
     return f"{label} = [{body}]"
@@ -119,11 +125,7 @@ def render(cert: Certificate) -> str:
     )
     if cert.family is not None:
         lines.append("")
-        lines.append(f"family={cert.family}")
-        lines.append(f"branch={cert.branch}")
-        lines.append(f"substream={cert.substream}")
-        lines.append(f"retries={cert.retries}")
-        lines.append(f"resamples={cert.resamples}")
+        lines.extend(f"{key}={getattr(cert, key)}" for key in _TRAILER_KEYS)
     return "\n".join(lines) + "\n"
 
 
@@ -172,7 +174,9 @@ _RE_STATEMENT = re.compile(
 
 
 def parse(text: str) -> Certificate:
-    """Strict parse of certificate text; raises ParseError with the line."""
+    """Strict parse of certificate text; raises ParseError with the line.
+    Each trailer key may appear at most once; an unknown key, or any line
+    after the trailer, is an error."""
     lines = text.splitlines()
     pos = 0
 
@@ -214,26 +218,28 @@ def parse(text: str) -> Certificate:
     i, nd, t, ell = (int(m.group(k)) for k in range(1, 5))
     verdict, abundance = m.group(5), m.group(6)
 
-    family = branch = substream = None
-    counts = {}  # retries and resamples
+    trailer = {}
     while pos < len(lines) and not lines[pos].strip():
         pos += 1
     while pos < len(lines) and lines[pos].strip():
         if "=" not in lines[pos]:
             raise ParseError(pos + 1, f"bad trailer line {lines[pos]!r}")
         key, _, value = lines[pos].partition("=")
-        if key == "family":
-            family = value
-        elif key == "branch":
-            branch = value
-        elif key == "substream":
-            substream = value
-        elif key in ("retries", "resamples"):
+        if key not in _TRAILER_KEYS:
+            raise ParseError(pos + 1, f"unknown trailer key {key!r}")
+        if key in trailer:
+            raise ParseError(pos + 1, f"repeated trailer key {key!r}")
+        if key in ("retries", "resamples"):
             try:
-                counts[key] = int(value)
+                value = int(value)
             except ValueError:
                 raise ParseError(pos + 1, f"{key} must be an integer, got {value!r}")
+        trailer[key] = value
         pos += 1
+    while pos < len(lines) and not lines[pos].strip():
+        pos += 1
+    if pos < len(lines):
+        raise ParseError(pos + 1, f"unexpected line after the trailer: {lines[pos]!r}")
 
     for line_no, (label, coeffs) in enumerate(forms, start=3):
         for c in coeffs:
@@ -245,8 +251,7 @@ def parse(text: str) -> Certificate:
     return Certificate(
         seed=seed, prime=prime, rows=rows, cols=cols, found=found, expected=expected,
         verdict=verdict, abundance=abundance, i=i, nd=nd, t=t, ell=ell, forms=forms,
-        construct_line=construct_line, rank_line=rank_line, family=family, branch=branch,
-        substream=substream, retries=counts.get("retries"), resamples=counts.get("resamples"),
+        construct_line=construct_line, rank_line=rank_line, **{key: trailer.get(key) for key in _TRAILER_KEYS},
     )
 
 
@@ -270,21 +275,20 @@ class ReverifyReport:
 
 
 def check_provenance(cert: Certificate, spec: bolattice.BuildSpec) -> str:
-    """Re-derive every form of the plan from the recorded seed and compare
-    with the forms the spec was built from.
+    """Re-draw every form of the spec's statement from the recorded seed,
+    through bolattice.prepare_build, and compare with the forms the spec
+    was built from.
 
     Only possible when the certificate names our substream algorithm;
     foreign certificates return "unknown".
     """
     if cert.substream != SUBSTREAM_ALGORITHM:
         return "unknown"
+    config = bolattice.config_for(spec.family)
     sampler = FormSampler(cert.seed, PrimeField(cert.prime))
-    for _, key, support in bolattice.form_plan(spec.family, spec.t, spec.i, spec.ell, spec.eta, spec.mu):
-        role, pi, pj, gamma = key
-        regenerated = sampler.linear_form(role, spec.n, i=pi, j=pj, gamma=gamma, support=support)
-        if not np.array_equal(regenerated, spec.keyed[key]):
-            return "mismatch"
-    return "confirmed"
+    drawn = bolattice.prepare_build(config, spec.t, spec.i, spec.eta, spec.mu, sampler).keyed
+    same = all(np.array_equal(coeffs, spec.keyed[key]) for key, coeffs in drawn.items())
+    return "confirmed" if same else "mismatch"
 
 
 def _statement_plan(cert: Certificate, config: bolattice.LatticeConfig):

@@ -93,29 +93,20 @@ class Quasipolynomial:
         self.period = period
         self.coeffs = table
 
-    @classmethod
-    def constant(cls, value: int) -> "Quasipolynomial":
-        return cls(1, [[value]])
-
     def __call__(self, t: int) -> int:
-        return qp_eval(self, t)
+        """The value at integer t; raises NonIntegralValue if it is not integral."""
+        acc = Fraction(0)
+        power = Fraction(1)
+        for c in self.coeffs[t % self.period]:
+            acc += c * power
+            power *= t
+        if acc.denominator != 1:
+            raise NonIntegralValue(f"value {acc} at t={t} is not an integer")
+        return int(acc)
 
     def __repr__(self):
         return (f"Quasipolynomial(period={self.period}, degree={self.degree}, "
                 f"lc={self.leading_coefficient})")
-
-
-def qp_eval(q: Quasipolynomial, t: int) -> int:
-    """Evaluate q at integer t; raises NonIntegralValue if it is not integral."""
-    poly = q.coeffs[t % q.period]
-    acc = Fraction(0)
-    power = Fraction(1)
-    for c in poly:
-        acc += c * power
-        power *= t
-    if acc.denominator != 1:
-        raise NonIntegralValue(f"value {acc} at t={t} is not an integer")
-    return int(acc)
 
 
 # Residue table for the 27-quasiquadratic point-count functions.  Index r

@@ -232,27 +232,6 @@ def monomial_rank(indices: tuple, n: int) -> int:
     return int(_ranks_of_exponents(exps, n, d)[0])
 
 
-def monomial_unrank(z: int, n: int, d: int) -> tuple:
-    """Inverse of monomial_rank on 1..C(n+d, d)."""
-    if not 1 <= z <= monomial_count(n, d):
-        raise IndexOutOfRange(f"position {z} outside 1..{monomial_count(n, d)}")
-    r = z - 1
-    out = []
-    lo = 0
-    for pos in range(d):
-        rem = d - pos - 1
-        v = lo
-        while True:
-            block = binomial(n - v + rem, rem)
-            if r < block:
-                break
-            r -= block
-            v += 1
-        out.append(v)
-        lo = v
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class LinearForm:
     """A nonzero linear form; coeffs[j] multiplies x_j, reduced mod P."""

@@ -15,7 +15,9 @@ certificate so an independent implementation can regenerate the forms.
 
 The all-zero form occurs with probability P^-(n+1) and would collapse a
 point, so it is resampled (from the same substream, which simply keeps
-running) and counted.
+running) and counted.  A sampler draws each key once: asked for a key
+again, it returns the form it drew, so one sampler can serve several
+builds that share forms (an s1 spec and the s2 spec that extends it).
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class FormSampler:
         self.seed = seed
         self.field = field
         self.resamples = 0
+        self._drawn: dict[tuple, np.ndarray] = {}
 
     def linear_form(
         self,
@@ -93,7 +96,17 @@ class FormSampler:
 
         With `support`, only those coordinate positions are sampled and
         the rest stay zero (points confined to a coordinate subspace).
+        A key is drawn once: asked again, the sampler returns the same
+        form, with no new draw and no resample counted.
         """
+        key = (role, i, j, gamma)
+        if key not in self._drawn:
+            self._drawn[key] = self.draw(key, n, support)
+        return self._drawn[key]
+
+    def draw(self, key: tuple, n: int, support: Sequence[int] | None) -> np.ndarray:
+        """Sample the form of `key` from its substream, counting resamples."""
+        role, i, j, gamma = key
         idx = list(range(n + 1)) if support is None else list(support)
         stream = field_stream(self.seed, self.field.modulus, role, i=i, j=j, gamma=gamma)
         while True:

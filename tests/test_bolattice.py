@@ -71,10 +71,10 @@ def test_a_i_values():
 
 
 def test_abundance_examples():
-    assert bo.abundance(QUAT, 0, 5, "s1") == bo.SUB
-    assert bo.abundance(QUAT, 0, 5, "s2") == bo.SUPER
-    assert bo.abundance(QUAT, 3, 82, "s1") == bo.EQUI
-    assert bo.abundance(QUAT, 3, 82, "s2") == bo.EQUI
+    assert bo.plan_statement(QUAT, 5, "s1")["abundance"] == bo.SUB
+    assert bo.plan_statement(QUAT, 5, "s2")["abundance"] == bo.SUPER
+    assert bo.plan_statement(QUAT, 82, "s1")["abundance"] == bo.EQUI
+    assert bo.plan_statement(QUAT, 82, "s2")["abundance"] == bo.EQUI
 
 
 def test_plan_statement_point_counts():
@@ -172,7 +172,7 @@ def test_lower_order_build():
     spec = bo.prepare_build(CUB, 28, 0, CUB.s1(28), 0, FormSampler(4, F))
     assert spec.rows == binomial(31, 3) and spec.row_keep is None
     assert sum(b.shape[1] for b in bo.column_blocks(spec, F)) == bo.kept_column_count(spec)
-    expected = bo.expected_dim(CUB, 0, 28, "s1") - bo.eliminated_row_count(CUB, 28, 0)
+    expected = min(bo.a_i(CUB, 0, 28, "s1"), CUB.N(28)) - bo.eliminated_row_count(CUB, 28, 0)
     assert expected == min(85 * 52, binomial(31, 3))
 
 
@@ -863,9 +863,9 @@ def test_s1_plan_leads_the_s2_plan(cfg):
 
 def test_s1_resamples_count_its_own_forms(monkeypatch):
     class EveryFormResampled(FormSampler):
-        def linear_form(self, *args, **kwargs):
+        def draw(self, *args, **kwargs):
             self.resamples += 1
-            return super().linear_form(*args, **kwargs)
+            return super().draw(*args, **kwargs)
 
     monkeypatch.setattr(bo, "FormSampler", EveryFormResampled)
     s1 = bo.verify_statement(QUAT, 5, "s1", seed=3, field=F)

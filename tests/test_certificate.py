@@ -202,12 +202,25 @@ def test_parse_errors():
         cert.parse("garbage\n")
 
 
-@pytest.mark.parametrize("key", ["retries", "resamples"])
-def test_non_integer_trailer_count_is_a_parse_error(tmp_path, capsys, key):
+REAL_TRAILER = f"\nfamily=quaternary\nbranch=s1\nsubstream={SUBSTREAM_ALGORITHM}\nretries=0\nresamples=0\n"
+
+
+@pytest.mark.parametrize("bad, trailer", [
+    ("retries=x", "\nfamily=quaternary\nretries=x\n"),
+    ("resamples=x", "\nfamily=quaternary\nresamples=x\n"),
+    ("branch=s2", REAL_TRAILER + "branch=s2\nfamly=cubics\n"),
+    ("famly=cubics", REAL_TRAILER + "famly=cubics\n"),
+    ("famly=cubics", REAL_TRAILER + "\nfamly=cubics\n"),
+], ids=["retries", "resamples", "repeated", "unknown", "after"])
+def test_non_integer_trailer_count_is_a_parse_error(tmp_path, capsys, bad, trailer):
+    """A non-integer count, a repeated or unknown key in the trailer, or a
+    line after it, is a parse error at its line, and the CLI exits 1 on it."""
     from chowdefect.cli import main
 
-    text = EXTERNAL_CERT + f"\nfamily=quaternary\n{key}=x\n"
-    line_no = len(text.splitlines())
+    assert cert.parse(EXTERNAL_CERT + REAL_TRAILER).branch == "s1"
+    text = EXTERNAL_CERT + trailer
+    key = bad.partition("=")[0]
+    line_no = text.splitlines().index(bad) + 1
     with pytest.raises(cert.ParseError) as err:
         cert.parse(text)
     assert err.value.line_no == line_no and key in err.value.reason
@@ -400,7 +413,8 @@ def test_certificate_beyond_t0_refused_before_any_build(config, tmp_path, capsys
     for branch in bo.BRANCHES:
         i, eta, mu = bo.point_split(config, t, branch)
         eliminated = bo.eliminated_row_count(config, t, i) if config.family == bo.CUBICS else 0
-        expected = bo.expected_dim(config, i, t, branch) - eliminated
+        assert bo.a_i(config, i, t, branch) == config.N(t)  # the top order is equiabundant from t0 on
+        expected = config.N(t) - eliminated
         n = 3 if config.family == bo.QUATERNARY else t
         sampler = FormSampler(5, F)
         forms = tuple(
@@ -408,7 +422,7 @@ def test_certificate_beyond_t0_refused_before_any_build(config, tmp_path, capsys
             for label, (role, pi, pj, gamma), support in bo.form_plan(config.family, t, i, config.ell, eta, mu)
         )
         outcome = bo.VerificationOutcome(
-            family=config.family, t=t, i=i, branch=branch, abundance=bo.abundance(config, i, t, branch),
+            family=config.family, t=t, i=i, branch=branch, abundance=bo.EQUI,
             rows=config.N(t) - eliminated, cols=bo.column_count(config, t, i, eta, mu), expected=expected,
             found=expected, verdict="TRUE", seed=5, prime=8191, resamples=0, retries=0,
             construct_seconds=0.0, rank_seconds=0.0, attempts=((5, expected),), forms=forms,

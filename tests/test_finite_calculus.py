@@ -11,7 +11,6 @@ from chowdefect.finite_calculus import (
     binomial,
     make_proof_functions,
     newton_reconstruct,
-    qp_eval,
 )
 
 S1, S2 = make_proof_functions()
@@ -32,11 +31,11 @@ def test_binomial_values():
 
 def test_point_count_spot_values():
     # frozen by direct evaluation of the quasiquadratic formula
-    assert qp_eval(S1, 2) == 1
-    assert qp_eval(S1, 5) == 3
-    assert qp_eval(S1, 0) == 0
-    assert qp_eval(S1, 82) == 399
-    assert qp_eval(S2, 82) == 400
+    assert S1(2) == 1
+    assert S1(5) == 3
+    assert S1(0) == 0
+    assert S1(82) == 399
+    assert S2(82) == 400
 
 
 def test_residue_table_spot_values():
@@ -46,15 +45,15 @@ def test_residue_table_spot_values():
 
 
 def test_constant_quasipolynomial():
-    q = Quasipolynomial.constant(7)
+    q = Quasipolynomial(1, [[7]])
     for t in (-5, 0, 3, 1000):
-        assert qp_eval(q, t) == 7
+        assert q(t) == 7
 
 
 def test_integrality_enforced():
     q = Quasipolynomial(1, [[Fraction(1, 2), Fraction(1, 3)]])
     with pytest.raises(NonIntegralValue):
-        qp_eval(q, 1)
+        q(1)
 
 
 def test_common_leading_coefficient_required():
@@ -66,8 +65,8 @@ def test_common_leading_coefficient_required():
 
 def test_ceiling_identity_exhaustive():
     for t in range(1, 201):
-        assert qp_eval(S2, t) == -(-N(t) // (3 * t + 1))
-        assert qp_eval(S2, t) - qp_eval(S1, t) == 1
+        assert S2(t) == -(-N(t) // (3 * t + 1))
+        assert S2(t) - S1(t) == 1
 
 
 def test_backward_diff_linear_slope():
@@ -100,7 +99,7 @@ def test_power_rule_random_quasiquadratics():
 def test_newton_identity():
     for t in (5, 40, 100):
         for n in range(6):
-            assert newton_reconstruct(S1, n, t, 27) == qp_eval(S1, t)
+            assert newton_reconstruct(S1, n, t, 27) == S1(t)
     f = lambda t: t * t
     assert newton_reconstruct(f, 2, 13, 5) == 169
     assert newton_reconstruct(N, 3, 82, 27) == 98770
@@ -108,7 +107,7 @@ def test_newton_identity():
 
 def test_linearity_and_composition():
     rng = random.Random(3)
-    f = lambda t: qp_eval(S1, t)
+    f = S1
     g = lambda t: N(t)
     for _ in range(20):
         t = rng.randint(-50, 200)

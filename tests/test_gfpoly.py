@@ -16,7 +16,6 @@ from chowdefect.gfpoly import (
     monomial_count,
     monomial_exponents,
     monomial_rank,
-    monomial_unrank,
     mul_linear,
     naive_product_oracle,
     product_of_linear_forms,
@@ -48,21 +47,6 @@ def test_monomial_rank_examples():
         monomial_rank((1, 0), 3)
     with pytest.raises(IndexOutOfRange):
         monomial_rank((0, 4), 3)
-
-
-def test_rank_unrank_bijective():
-    for n in range(1, 7):
-        for d in range(1, 9):
-            seen = set()
-            for z in range(1, monomial_count(n, d) + 1):
-                tup = monomial_unrank(z, n, d)
-                assert monomial_rank(tup, n) == z
-                seen.add(tup)
-            assert len(seen) == monomial_count(n, d)
-    with pytest.raises(IndexOutOfRange):
-        monomial_unrank(0, 3, 3)
-    with pytest.raises(IndexOutOfRange):
-        monomial_unrank(21, 3, 3)
 
 
 def test_rank_is_lex_increasing():
@@ -204,8 +188,8 @@ def test_division_map_matches_monomial_rank():
         zero_slot = monomial_count(n, k)
         assert G.shape == (n + 1, monomial_count(n, k + 1)) and G.dtype == np.intp
         assert not G.flags.writeable
-        for z in range(G.shape[1]):
-            m = monomial_unrank(z + 1, n, k + 1)
+        for z, exps in enumerate(monomial_exponents(n, k + 1)):
+            m = np.repeat(np.arange(n + 1), exps).tolist()
             for j in range(n + 1):
                 if j not in m:
                     want = zero_slot

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import chowdefect.sampling as sampling
 from chowdefect.gfpoly import DimensionMismatch, PrimeField
 from chowdefect.sampling import (
     FormSampler,
@@ -49,6 +52,27 @@ def test_values_in_field_range():
         assert min(vals) >= 0 and max(vals) < p
         if p > 2:
             assert len(set(vals)) > 1
+
+
+def test_a_key_is_drawn_once(monkeypatch):
+    """Asked again for a key, a sampler returns the form it drew: equal
+    coefficients, no new draw and no resample counted again."""
+    s = FormSampler(3, PrimeField(2))  # over F_2 a one-coefficient form is zero half the time
+    for gamma in itertools.count():
+        first = s.linear_form("l", 0, gamma=gamma)
+        if s.resamples:
+            break
+    counted = s.resamples
+    streams = []
+
+    def counted_stream(*args, **kwargs):
+        streams.append(args)
+        return field_stream(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "field_stream", counted_stream)
+    again = s.linear_form("l", 0, gamma=gamma)
+    assert np.array_equal(again, first) and s.resamples == counted and streams == []
+    assert np.array_equal(first, FormSampler(3, PrimeField(2)).linear_form("l", 0, gamma=gamma))
 
 
 def test_support_mask():
