@@ -164,8 +164,10 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     The point split (point_split) fixes the shape, the expected rank
     min(a_i, N) (for cubics, with the rows the subspaces span eliminated),
     the abundance (SUB, SUPER or EQUI as a_i is below, above or at N) and
-    the rank's memory price.  Both branches are priced at the s2 shape,
-    as an s1 verification ranks the s2 stream (see verify_statement).
+    the rank's memory price.  Both branches are priced at the s2 shape:
+    an s1 verification ranks the s2 stream (see verify_statement), and so
+    does the reverification of an s1 certificate whose provenance is
+    confirmed (certificate.reverify).
     Only a t from config.t_first to t0 has a statement, by this rule
     alone; any other t raises ValueError, and a bad point count
     NegativeCount.
@@ -309,6 +311,25 @@ def form_plan(
                 yield f"{role}_{{{pt},{j}}}", (role + "j", pt, j, 0), support
 
 
+@functools.lru_cache(maxsize=1)
+def row_keep(t: int, i: int, ell: int) -> np.ndarray:
+    """Y of the cubic order-i statement at t, the rows no subspace spans:
+    the 0-based indices of the degree-3 monomials in t+1 variables that
+    use a variable of each of the first i blocks of ell variables, as a
+    read-only array.
+
+    Only the last (t, i) is kept.  A paired reverification asks for the
+    same mask three times (recorded forms, provenance re-draw, s2 spec),
+    and its exponent matrix takes about 0.2 s at t = 82."""
+    exps = monomial_exponents(t, 3)
+    eliminated = np.zeros(exps.shape[0], dtype=bool)
+    for j in range(i):
+        eliminated |= exps[:, ell * j : ell * (j + 1)].sum(axis=1) == 0
+    keep = np.flatnonzero(~eliminated)
+    keep.flags.writeable = False
+    return keep
+
+
 def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, source) -> BuildSpec:
     """Draw a statement's forms and fix its shape: the one walk of form_plan
     that draws forms.  `source` is a FormSampler (verification, and the
@@ -328,12 +349,7 @@ def prepare_build(config: LatticeConfig, t: int, i: int, eta: int, mu: int, sour
     rows_full = config.N(t)
     keep = None
     if config.family == CUBICS and i > 0:
-        exps = monomial_exponents(n, 3)
-        eliminated = np.zeros(rows_full, dtype=bool)
-        for j in range(i):
-            block = slice(ell * j, ell * (j + 1))
-            eliminated |= exps[:, block].sum(axis=1) == 0
-        keep = np.flatnonzero(~eliminated)
+        keep = row_keep(t, i, ell)
         expect_gone = eliminated_row_count(config, t, i)
         if rows_full - keep.size != expect_gone:
             raise AssertionError(
@@ -530,9 +546,48 @@ def _outcome(
     )
 
 
-# The s2 outcome of the last s1 call's pass, if TRUE, as ((config, t, seed,
-# prime), outcome); only the next verify_statement call may take it.
+# The one hand-off between calls: (key, read) for the s2 stream of the last
+# shared pass, where key is stream_key's and read rank_and_bound's (found,
+# pull_seconds, rank_seconds).  It holds a read, never a basis.
 _handoff: tuple | None = None
+
+
+def stream_key(kind: str, spec: BuildSpec, field: PrimeField) -> tuple:
+    """What a handed-on read stands for: the kind of call that made it
+    ("verify" or "reverify") and the exact column stream, that is family,
+    t, i, eta, mu, prime and the coefficient bytes of every form."""
+    forms = tuple(coeffs.tobytes() for _, coeffs in spec.forms)
+    return (kind, spec.family, spec.t, spec.i, spec.eta, spec.mu, field.modulus, forms)
+
+
+def take_handoff() -> tuple | None:
+    """Empty the hand-off and return what it held, (key, read) or None.
+    verify_statement and certificate.reverify call it first, so a read is
+    only ever taken by the call right after the one that made it."""
+    global _handoff
+    held, _handoff = _handoff, None
+    return held
+
+
+def rank_and_hand_off(
+    kind: str, passes: list[tuple[dict, BuildSpec]], field: PrimeField, seed: int, handed: tuple | None,
+    progress: ProgressHook | None = None,
+) -> list[tuple[int, float, float]]:
+    """rank_and_bound(passes, field, seed, progress), with the hand-off
+    between two calls of one kind.  A lone pass whose stream_key(kind, ...)
+    is the key of `handed` (what take_handoff returned on entry) takes the
+    handed read instead of ranking: the same stream has the same rank and
+    the same bound, which the pass that made the read checked.  A pass of
+    several specs hands its last read on when it is the last plan's
+    expected rank; a short one is left to its own call."""
+    global _handoff
+    if len(passes) == 1 and handed is not None and handed[0] == stream_key(kind, passes[0][1], field):
+        return [handed[1]]
+    read = rank_and_bound(passes, field, seed, progress)
+    (plan, spec), found = passes[-1], read[-1][0]
+    if len(passes) > 1 and found == plan["expected"]:
+        _handoff = (stream_key(kind, spec, field), read[-1])
+    return read
 
 
 def verify_statement(
@@ -561,22 +616,20 @@ def verify_statement(
     the s1 stream.  An s1 call prepares the s2 spec with its own sampler,
     which returns the s1 forms it drew and draws only the extra point's,
     ranks the s2 stream and reads its own rank at the s1 mark,
-    kept_column_count of its spec; its timings run up to the mark.  A rank above the expected dimension at
-    the mark or, for s2, at the end raises RankContradiction, and a
-    shortfall at the mark retries s1 alone.  When the s2 rank is the
-    expected one, the s2 outcome, timed over the whole pass, is handed
-    to the next call alone: an s2 call for the same config, t, seed and
-    prime returns it instead of ranking again.  Every call empties the
-    hand-off first; it holds an outcome, never a basis.
+    kept_column_count of its spec; its timings run up to the mark.  A
+    rank above the expected dimension at the mark or at the end raises
+    RankContradiction, and a shortfall at the mark retries s1 alone.
+    When the s2 rank is the expected one, that read is handed on
+    (rank_and_hand_off) to the next call alone: an s2 call draws its own
+    forms and, if they make the same stream at the same prime, takes the
+    read as its attempt 0 instead of ranking; its timings are then its
+    own preparation plus the whole pass.  Every call empties the hand-off
+    first, and a read made by certificate.reverify is never taken here.
     """
-    global _handoff
-    handed, _handoff = _handoff, None
+    handed = take_handoff()
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     plan = plan_statement(config, t, branch)
-    if branch == "s2" and handed is not None and handed[0] == (config, t, seed, field.modulus):
-        return handed[1]
-    handoff = None
     attempts = []
     attempt_seed = seed
     for attempt in range(retries + 1):
@@ -591,16 +644,11 @@ def verify_statement(
             s2 = plan_statement(config, t, "s2")
             passes.append((s2, prepare_build(config, t, s2["i"], s2["eta"], s2["mu"], sampler)))
         prepared = time.perf_counter() - tic
-        (found, *seconds), *whole = rank_and_bound(passes, field, attempt_seed, progress)
+        (found, *seconds), *_ = rank_and_hand_off("verify", passes, field, attempt_seed, handed, progress)
         attempts.append((attempt_seed, found))
-        if whole and whole[0][0] == s2["expected"]:
-            s2_outcome = _outcome(s2, passes[1][1], field, [(seed, whole[0][0])], sampler.resamples, prepared, whole[0][1:])
-            handoff = ((config, t, seed, field.modulus), s2_outcome)
         if found == plan["expected"]:
             break
-    outcome = _outcome(plan, spec, field, attempts, resamples, prepared, seconds)
-    _handoff = handoff
-    return outcome
+    return _outcome(plan, spec, field, attempts, resamples, prepared, seconds)
 
 
 def base_case_schedule(config: LatticeConfig, cap: int | None = None) -> list[dict]:

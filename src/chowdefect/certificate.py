@@ -20,9 +20,9 @@ width of P-1 and space separated.  Timing lines are preserved verbatim
 through parse/emit round-trips and excluded from the
 determinism guarantee; everything else is byte-reproducible from the
 seed.  An s1 call ranks the s2 stream, which begins with the s1 columns,
-and hands the s2 outcome on (bolattice.verify_statement): the s1 timing
+and hands the s2 rank on (bolattice.verify_statement): the s1 timing
 lines then run up to the end of the s1 columns, and the s2 lines cover
-the whole pass, the s1 part included.
+the s2 call's own preparation and the whole pass, the s1 part included.
 
 The shape line counts the full generator set of the statement
 (bolattice.column_count).  Verification and reverification rank the
@@ -39,9 +39,8 @@ trailer, for the branch whose form labels are the recorded ones) and
 refuses any step, fixed argument, label, order, abundance, shape or
 expected dimension that is not the plan's; a t outside the base cases
 has no plan and is refused there.  The rank is taken and checked by
-bolattice.rank_and_bound, verification's own rank step, with the
-statement's spec as its only pass.  Reverification follows
-bolattice.form_plan, which gives each label its substream key and
+bolattice.rank_and_bound, verification's own rank step.  Reverification
+follows bolattice.form_plan, which gives each label its substream key and
 support.  When the trailer names our substream algorithm, the provenance
 check re-draws the forms from the seed through bolattice.prepare_build,
 the one walk of the form plan that draws forms, and compares them with
@@ -49,6 +48,20 @@ the recorded ones byte for byte, which catches any tampering with
 recorded coefficients (a single flipped coefficient still yields a
 generic configuration of the same rank, so the rank check alone cannot
 see it).
+
+A pair is reverified in one rank pass, as it was verified.  When an s1
+certificate's provenance is confirmed, its s2 spec is prepared with the
+provenance check's sampler: the recorded s1 forms, which that sampler
+has just re-drawn byte for byte, followed by the extra s2 point's forms,
+drawn from the seed then.  Both specs are ranked in one rank_and_bound
+pass; the s1 rank is read at the end of its columns and the s2 rank is
+handed on (bolattice.rank_and_hand_off).  The next reverification takes
+it only if its own spec, rebuilt from its recorded forms, is that exact
+stream at that prime, so an s2 certificate with any edited form is
+ranked alone.  An s1 certificate whose provenance is a mismatch or
+unknown is ranked alone and hands nothing on.  Either way, the rank
+reported for a certificate is that of the stream its own recorded forms
+build.
 """
 
 from __future__ import annotations
@@ -274,18 +287,20 @@ class ReverifyReport:
     ok: bool
 
 
-def check_provenance(cert: Certificate, spec: bolattice.BuildSpec) -> str:
-    """Re-draw every form of the spec's statement from the recorded seed,
-    through bolattice.prepare_build, and compare with the forms the spec
-    was built from.
+def check_provenance(cert: Certificate, spec: bolattice.BuildSpec, sampler: FormSampler) -> str:
+    """Re-draw every form of the spec's statement through `sampler`, a
+    FormSampler of the recorded seed and prime, by bolattice.prepare_build,
+    and compare with the forms the spec was built from.
 
     Only possible when the certificate names our substream algorithm;
-    foreign certificates return "unknown".
+    foreign certificates return "unknown" and draw nothing.  The sampler
+    keeps what it drew, so a spec that extends the statement (the s2 spec
+    of an s1 certificate) prepared with it afterwards holds these forms
+    and draws only its own.
     """
     if cert.substream != SUBSTREAM_ALGORITHM:
         return "unknown"
     config = bolattice.config_for(spec.family)
-    sampler = FormSampler(cert.seed, PrimeField(cert.prime))
     drawn = bolattice.prepare_build(config, spec.t, spec.i, spec.eta, spec.mu, sampler).keyed
     same = all(np.array_equal(coeffs, spec.keyed[key]) for key, coeffs in drawn.items())
     return "confirmed" if same else "mismatch"
@@ -325,7 +340,13 @@ def reverify(cert: Certificate) -> ReverifyReport:
     plan's expected dimension raises bolattice.RankContradiction.  The rank
     check is independent of the original RNG; the provenance check runs
     when the substream algorithm matches ours.
+
+    An s1 certificate with confirmed provenance is ranked together with
+    its s2 stream, whose rank is handed on to the next call (see the
+    module docstring); a rank above the s2 bound there raises
+    RankContradiction naming s2.
     """
+    handed = bolattice.take_handoff()
     family = cert.family or _infer_family(cert)
     config = bolattice.config_for(family)
     if cert.ell != config.ell:
@@ -349,9 +370,16 @@ def reverify(cert: Certificate) -> ReverifyReport:
     coeffs = dict(cert.forms)
     source = RecordedForms({key: np.asarray(coeffs[label], dtype=np.int64) for label, key, _ in planned})
     spec = bolattice.prepare_build(config, cert.t, plan["i"], plan["eta"], plan["mu"], source)
-    [(rank, _, _)] = bolattice.rank_and_bound([(plan, spec)], PrimeField(cert.prime), cert.seed)
+    field = PrimeField(cert.prime)
+    sampler = FormSampler(cert.seed, field)
+    provenance = check_provenance(cert, spec, sampler)
+    passes = [(plan, spec)]
+    if plan["branch"] == "s1" and provenance == "confirmed":
+        s2 = bolattice.plan_statement(config, cert.t, "s2")
+        passes.append((s2, bolattice.prepare_build(config, cert.t, s2["i"], s2["eta"], s2["mu"], sampler)))
+    del sampler  # its re-drawn forms are not held through the rank
+    (rank, _, _), *_ = bolattice.rank_and_hand_off("reverify", passes, field, cert.seed, handed)
 
-    provenance = check_provenance(cert, spec)
     rank_matches = rank == cert.found
     verdict_confirmed = rank_matches and cert.verdict == "TRUE"
     return ReverifyReport(

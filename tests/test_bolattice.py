@@ -833,6 +833,15 @@ def test_handoff_goes_only_to_the_next_matching_s2_call(monkeypatch):
     with pytest.raises(ValueError, match="start at t=2"):
         ranks(QUAT, 1, "s1")  # even one that is refused
     assert ranks(QUAT, 5, "s2") == 1
+    # what is handed on is the s2 rank read of one exact stream, keyed by the kind of call
+    ranks(QUAT, 5, "s1")
+    key, read = bo.take_handoff()
+    plan = bo.plan_statement(QUAT, 5, "s2")
+    spec = bo.prepare_build(QUAT, 5, plan["i"], plan["eta"], plan["mu"], FormSampler(3, F))
+    assert key == bo.stream_key("verify", spec, F)
+    assert len(read) == 3 and read[0] == plan["expected"]
+    assert bo.take_handoff() is None
+    assert ranks(QUAT, 5, "s2") == 1  # taken once, so gone
 
 
 @pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)

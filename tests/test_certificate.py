@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import chowdefect.bolattice as bo
 import chowdefect.certificate as cert
 from chowdefect.gfpoly import DimensionMismatch, PrimeField
+from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import SUBSTREAM_ALGORITHM, FormSampler, RecordedForms
 
 F = PrimeField(8191)
@@ -327,15 +331,21 @@ def test_recorded_forms_rebuild_the_sampled_spec_at_order_2(config, t):
     assert (replayed.rows_full, replayed.rows) == (sampled.rows_full, sampled.rows)
 
 
+def edit_form(text, label):
+    """The certificate with one coefficient of `label` changed: the first
+    nonzero one, which lies inside the form's support, so the form still
+    fits its subspace."""
+    target = next(ln for ln in text.splitlines() if ln.startswith(label + " = "))
+    body = target.split("[")[1].rstrip("]").split()
+    k = next(k for k, v in enumerate(body) if int(v))
+    body[k] = str((int(body[k]) + 1) % 8191)
+    return text.replace(target, f"{label} = [{' '.join(body)}]")
+
+
 @pytest.mark.parametrize("config, label", [(QUAT, "f_{0,0,0}"), (CUB, "k_{0,0}")], ids=["quaternary", "cubics"])
 def test_tampered_restricted_point_form_is_a_provenance_mismatch(config, label):
     text = plan_certificate(config, 28, "s2", seed=808)
-    target = next(ln for ln in text.splitlines() if ln.startswith(label + " = "))
-    body = target.split("[")[1].rstrip("]").split()
-    # change a coordinate inside the support, so the form still fits its subspace
-    k = next(k for k, v in enumerate(body) if int(v))
-    body[k] = str((int(body[k]) + 1) % 8191)
-    report = cert.reverify(cert.parse(text.replace(target, f"{label} = [{' '.join(body)}]")))
+    report = cert.reverify(cert.parse(edit_form(text, label)))
     assert report.provenance == "mismatch"
     assert not report.ok
 
@@ -462,3 +472,191 @@ def test_zero_recorded_form_rejected():
     assert "[   0    0    0    0]" in text
     with pytest.raises(DimensionMismatch, match="zero"):
         cert.reverify(cert.parse(text))
+
+
+# ---------------------------------------------------------------------------
+# certificate pairs: an s1 certificate and the s2 certificate of its t and seed
+
+
+def counting_ranks(monkeypatch, calls, end=None):
+    """Wrap the rank that rank_and_bound calls, recording each call's
+    total_cols; `end(rank)`, if given, is the rank the first call returns."""
+    real = bo.rank_from_column_blocks
+
+    def rank(blocks, n_rows, modulus, total_cols=None, progress=None):
+        calls.append(total_cols)
+        found = real(blocks, n_rows, modulus, total_cols=total_cols, progress=progress)
+        return end(found) if end is not None and len(calls) == 1 else found
+
+    monkeypatch.setattr(bo, "rank_from_column_blocks", rank)
+
+
+def pair_texts(config, t, seed=20260809):
+    """The s1 and s2 certificate texts of one t, verified as a pair."""
+    return [emit(config, t, branch, seed)[1] for branch in bo.BRANCHES]
+
+
+def extra_point_labels(config, t):
+    """The labels of the s2 forms that the s1 plan does not have."""
+    labels = [
+        {label for label, _, _ in bo.form_plan(config.family, t, p["i"], config.ell, p["eta"], p["mu"])}
+        for p in (bo.plan_statement(config, t, b) for b in bo.BRANCHES)
+    ]
+    return sorted(labels[1] - labels[0])
+
+
+def lone_s1_report(text):
+    """The report of an s1 certificate whose own stream, rebuilt from its
+    recorded forms, is ranked on its own."""
+    c = cert.parse(text)
+    config = bo.config_for(c.family)
+    plan = bo.plan_statement(config, c.t, "s1")
+    coeffs = dict(c.forms)
+    planned = bo.form_plan(c.family, c.t, plan["i"], config.ell, plan["eta"], plan["mu"])
+    source = RecordedForms({key: np.asarray(coeffs[label]) for label, key, _ in planned})
+    spec = bo.prepare_build(config, c.t, plan["i"], plan["eta"], plan["mu"], source)
+    rank = rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, F.modulus)
+    provenance = cert.check_provenance(c, spec, FormSampler(c.seed, F))
+    confirmed = rank == c.found and c.verdict == "TRUE"
+    return cert.ReverifyReport(rank, c.found, rank == c.found, provenance, confirmed, confirmed and provenance != "mismatch")
+
+
+@pytest.mark.parametrize("config", [QUAT, CUB], ids=["quaternary", "cubics"])
+@pytest.mark.parametrize("t", [2, 16, 28, 30])
+def test_paired_reports_equal_lone_ones(monkeypatch, config, t):
+    """An s1 certificate followed by its s2 certificate is reverified in one
+    rank call, and both reports equal those of each stream ranked on its
+    own, field for field."""
+    s1, s2 = pair_texts(config, t)
+    calls = []
+    counting_ranks(monkeypatch, calls)
+    paired = [cert.reverify(cert.parse(text)) for text in (s1, s2)]
+    assert len(calls) == 1
+    bo.take_handoff()
+    assert paired == [lone_s1_report(s1), cert.reverify(cert.parse(s2))]
+    assert len(calls) == 2  # the lone s2 reverify ranked its own stream
+    assert all(r.ok and r.provenance == "confirmed" for r in paired)
+
+
+@pytest.mark.parametrize("config, t", [(QUAT, 5), (CUB, 28)], ids=["quaternary", "cubics"])
+def test_s2_with_an_edited_extra_point_form_is_ranked_alone(monkeypatch, config, t):
+    s1, s2 = pair_texts(config, t)
+    [label, *_] = extra_point_labels(config, t)
+    calls = []
+    counting_ranks(monkeypatch, calls)
+    first = cert.reverify(cert.parse(s1))
+    second = cert.reverify(cert.parse(edit_form(s2, label)))
+    assert len(calls) == 2
+    assert first.ok and first.provenance == "confirmed"
+    assert second.provenance == "mismatch" and not second.ok
+
+
+@pytest.mark.parametrize("edit", ["tampered", "no trailer", "foreign"])
+def test_an_unconfirmed_s1_certificate_hands_nothing_on(monkeypatch, edit):
+    s1, s2 = pair_texts(QUAT, 16)
+    if edit == "tampered":
+        s1 = edit_form(s1, "l_{0,0}")
+    elif edit == "no trailer":
+        s1 = s1[: s1.index("\n\n") + 1]
+    else:
+        s1 = s1.replace(f"substream={SUBSTREAM_ALGORITHM}", "substream=foreign-v0")
+    calls = []
+    counting_ranks(monkeypatch, calls)
+    report = cert.reverify(cert.parse(s1))
+    assert report.provenance == ("mismatch" if edit == "tampered" else "unknown")
+    assert calls == [bo.plan_statement(QUAT, 16, "s1")["expected"]]  # the s1 stream alone
+    assert bo.take_handoff() is None
+    assert cert.reverify(cert.parse(s2)).ok and len(calls) == 2
+
+
+def test_a_read_goes_only_to_a_call_of_the_kind_that_made_it(monkeypatch):
+    """A rank read handed on by verify_statement is never taken by reverify,
+    and one handed on by reverify never by verify_statement, even when the
+    stream is the same and nothing empties the hand-off in between."""
+    calls = []
+    counting_ranks(monkeypatch, calls)
+    s1 = cert.emit_text(bo.verify_statement(QUAT, 5, "s1", seed=3, field=F))
+    s2 = cert.emit_text(bo.verify_statement(QUAT, 5, "s2", seed=3, field=F))
+    assert len(calls) == 1
+    bo.verify_statement(QUAT, 5, "s1", seed=3, field=F)
+    held = bo.take_handoff()
+    assert held[0][0] == "verify"
+    with monkeypatch.context() as m:
+        m.setattr(bo, "take_handoff", lambda: held)
+        assert cert.reverify(cert.parse(s2)).ok
+    assert len(calls) == 3
+    cert.reverify(cert.parse(s1))
+    held = bo.take_handoff()
+    assert held[0][0] == "reverify" and len(calls) == 4
+    with monkeypatch.context() as m:
+        m.setattr(bo, "take_handoff", lambda: held)
+        assert bo.verify_statement(QUAT, 5, "s2", seed=3, field=F).verdict == "TRUE"
+    assert len(calls) == 5
+    # in a plain sequence, each call empties what the other kind handed on
+    bo.verify_statement(QUAT, 5, "s1", seed=3, field=F)
+    cert.reverify(cert.parse(s2))
+    cert.reverify(cert.parse(s1))
+    bo.verify_statement(QUAT, 5, "s2", seed=3, field=F)
+    assert len(calls) == 9
+
+
+def test_rank_above_the_s2_bound_in_an_s1_reverify_pass_is_a_contradiction(monkeypatch):
+    s1, s2 = pair_texts(QUAT, 16)
+    calls = []
+    counting_ranks(monkeypatch, calls, end=lambda rank: rank + 1)
+    with pytest.raises(bo.RankContradiction, match="quaternary t=16 s2"):
+        cert.reverify(cert.parse(s1))
+    assert bo.take_handoff() is None
+    assert cert.reverify(cert.parse(s2)).ok and len(calls) == 2
+
+
+def test_paired_cubic_reverify_builds_the_row_mask_once(monkeypatch):
+    """Five prepare_build calls of a cubic t=28 pair (recorded forms and
+    provenance re-draw of each, and the s2 spec of the s1 pass) build its
+    row mask once; masks of two t are not shared."""
+    s1, s2 = pair_texts(CUB, 28)
+    built = []
+    real = bo.monomial_exponents
+    monkeypatch.setattr(bo, "monomial_exponents", lambda *args: built.append(args) or real(*args))
+    bo.row_keep.cache_clear()
+    assert all(cert.reverify(cert.parse(text)).ok for text in (s1, s2))
+    assert built == [(28, 3)]
+    at_28 = bo.row_keep(28, 1, CUB.ell)
+    at_29 = bo.row_keep(29, 1, CUB.ell)
+    assert at_28.size == CUB.N(28) - bo.eliminated_row_count(CUB, 28, 1)
+    assert at_29.size == CUB.N(29) - bo.eliminated_row_count(CUB, 29, 1)
+    assert not at_28.flags.writeable and not at_29.flags.writeable
+    again = bo.row_keep(28, 1, CUB.ell)
+    assert again is not at_28 and np.array_equal(again, at_28)  # only the last (t, i) is kept
+    assert built == [(28, 3), (29, 3), (28, 3)]
+
+
+def test_benchmark_call_pattern_ranks_each_t_once_per_phase(monkeypatch):
+    """The smoke workload of perfbench/run.py, called as it calls it: verify
+    and emit every statement (s1 before s2 of each t), then parse and
+    reverify the certificates in the same order.  Each (family, t) takes
+    exactly one rank call in each phase, and every report is ok and
+    confirmed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    statements = workloads.WORKLOADS["smoke"].statements
+    at = []
+    calls = Counter()
+    real = bo.rank_from_column_blocks
+    monkeypatch.setattr(bo, "rank_from_column_blocks", lambda *a, **k: calls.update([at[-1]]) or real(*a, **k))
+    texts = []
+    for family, t, branch in statements:
+        at.append(("verify", family, t))
+        outcome = bo.verify_statement(bo.config_for(family), t, branch, workloads.DEFAULT_SEED)
+        texts.append(cert.emit_text(outcome))
+    reports = []
+    for (family, t, _), text in zip(statements, texts):
+        at.append(("reverify", family, t))
+        reports.append(cert.reverify(cert.parse(text)))
+    pairs = {(family, t) for family, t, _ in statements}
+    assert len(statements) == 2 * len(pairs) == 22
+    assert calls == Counter({(phase, family, t): 1 for phase in ("verify", "reverify") for family, t in pairs})
+    assert all(r.ok and r.provenance == "confirmed" for r in reports)

@@ -248,6 +248,69 @@ def test_reverify_cycle(tmp_path, capsys, monkeypatch):
     assert run(capsys, "reverify", str(tmp_path / "missing.cert"))[0] == 1
 
 
+def verified_pair(tmp_path, capsys, monkeypatch):
+    """The s1 and s2 certificate paths of quaternary t=6, verified as a
+    pair, and a counter of the rank calls made after that."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "verify", "--family", "quaternary", "--t", "6", "--branch", "both", "--seed", "12")
+    calls = []
+    real = bo.rank_from_column_blocks
+    monkeypatch.setattr(bo, "rank_from_column_blocks", lambda *a, **k: calls.append(1) or real(*a, **k))
+    paths = [tmp_path / "certificates" / f"quaternary_t006_{b}.cert" for b in bo.BRANCHES]
+    return [str(p) for p in paths], calls
+
+
+def blocks(out):
+    """The report blocks of a reverify run, keyed by the path heading each."""
+    found = {}
+    for chunk in out.split("== ")[1:]:
+        path, _, body = chunk.partition("\n")
+        found[path] = body
+    return found
+
+
+def test_reverify_pair_takes_one_rank_call(tmp_path, capsys, monkeypatch):
+    paths, calls = verified_pair(tmp_path, capsys, monkeypatch)
+    code, out, _ = run(capsys, "reverify", *paths)
+    assert code == 0 and len(calls) == 1
+    assert list(blocks(out)) == paths
+    assert all("provenance: confirmed" in body and "verdict confirmed: True" in body for body in blocks(out).values())
+
+
+def test_reverify_pair_with_an_edited_extra_point_exits_2(tmp_path, capsys, monkeypatch):
+    paths, calls = verified_pair(tmp_path, capsys, monkeypatch)
+    config = bo.config_for("quaternary")
+    s1, s2 = (bo.plan_statement(config, 6, b) for b in bo.BRANCHES)
+    label = f"l_{{{s2['eta'] - 1},0}}"  # a factor of the extra s2 point
+    assert s2["eta"] == s1["eta"] + 1
+    text = Path(paths[1]).read_text()
+    target = next(ln for ln in text.splitlines() if ln.startswith(label + " = "))
+    head, _, body = target.partition("[")
+    first, *rest = body.rstrip("]").split()
+    edited = f"{head}[{' '.join([str((int(first) + 7) % 8191), *rest])}]"
+    Path(paths[1]).write_text(text.replace(target, edited))
+    code, out, _ = run(capsys, "reverify", *paths)
+    assert code == 2 and len(calls) == 2  # the edited s2 stream is ranked on its own
+    first, second = blocks(out).values()
+    assert "provenance: confirmed" in first and "verdict confirmed: True" in first
+    assert "provenance: mismatch" in second
+
+
+def test_reverify_unreadable_second_path_exits_1_after_the_first_report(tmp_path, capsys, monkeypatch):
+    paths, calls = verified_pair(tmp_path, capsys, monkeypatch)
+    missing = str(tmp_path / "missing.cert")
+    code, out, err = run(capsys, "reverify", paths[0], missing)
+    assert code == 1
+    assert list(blocks(out)) == [paths[0], missing]
+    assert "provenance: confirmed" in blocks(out)[paths[0]] and blocks(out)[missing] == ""
+    assert err.startswith("cannot read certificate:")
+    # the first failing path sets the status, and every later path is still reported
+    Path(paths[1]).write_text(Path(paths[1]).read_text().replace("family=quaternary", "family=bogus"))
+    code, out, _ = run(capsys, "reverify", paths[1], missing, paths[0])
+    assert code == 2 and list(blocks(out)) == [paths[1], missing, paths[0]]
+    assert "verdict confirmed: True" in blocks(out)[paths[0]]
+
+
 def test_reverify_refuses_unknown_family(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "verify", "--family", "cubics", "--t", "6", "--branch", "s1", "--seed", "4")
