@@ -336,17 +336,22 @@ def test_property_tall_blocks_match_reference(case, widths):
     assert on_both_paths(lambda: stream_rank(A, p, widths)) == [reference_rank(A.T, p)] * 2
 
 
-def test_tall_block_with_directions_off_a_row_sample():
-    """Each column of the second block is a combination of the first block
-    plus one entry on its own row; the rows are random, so most of them lie
-    away from any fixed sample of 48 rows out of 1000."""
-    p, rows = 32749, 1000
+def off_sample_matrix(p=32749, rows=1000):
+    """Three 16-wide blocks: a dense one; one whose columns are combinations
+    of the first plus one entry on their own random row, most of them away
+    from any fixed sample of 48 rows out of 1000; and five hidden rows.
+    Rank 37, found only through the g < b residual."""
     rng = np.random.default_rng(11)
     first = rng.integers(0, p, (rows, 16))
     second = (first @ rng.integers(0, p, (16, 16))) % p
     second[rng.choice(rows, 16, replace=False), np.arange(16)] += rng.integers(1, p, 16)
     second %= p
-    A = np.hstack([first, second, hidden_rows(rng, p, rows, 16, 5)])
+    return np.hstack([first, second, hidden_rows(rng, p, rows, 16, 5)])
+
+
+def test_tall_block_with_directions_off_a_row_sample():
+    p = 32749
+    A = off_sample_matrix(p)
     assert stream_rank(A, p, [16]) == reference_rank(A.T, p) == 37
 
 
@@ -420,3 +425,55 @@ def test_leaf_and_jordan_contract(m, w):
             if head is None:
                 residue = B.astype(np.int64) - J.astype(np.int64) @ B[rows].astype(np.int64)
                 assert not (residue % p).any()
+
+
+# ---------------------------------------------------------------------------
+# clearing in row chunks: with _CLEAR_ROWS cut to a few rows, generation
+# blocks straddle chunk edges, and narrow panels put several whole blocks
+# in one chunk
+
+CHUNK_ROWS = (7, 64, 100)
+
+
+def in_row_chunks(rank):
+    """on_both_paths(rank) under each of CHUNK_ROWS as _CLEAR_ROWS, flattened."""
+    ranks = []
+    for rows in CHUNK_ROWS:
+        with mock.patch.object(gflinalg, "_CLEAR_ROWS", rows):
+            ranks += on_both_paths(rank)
+    return ranks
+
+
+def chunk_edge_matrices(p):
+    """(A, widths): low-rank matrices with repeated columns, cut into panels
+    narrower than a chunk (7 and 30 columns), as wide as the leaf, and in
+    default blocks; the tall one takes the sampled pivot search."""
+    rng = np.random.default_rng(13)
+    for rows, k, cols, widths in ((130, 100, 200, [7, 30]), (260, 100, 120, [_LEAF_WIDTH]),
+                                  (120, 110, 300, [DEFAULT_BLOCK])):
+        X = (rng.integers(0, p, (rows, k)) @ rng.integers(0, p, (k, cols - 20))) % p
+        yield np.hstack([X, X[:, rng.integers(0, cols - 20, 20)]])[:, rng.permutation(cols)], widths
+
+
+@pytest.mark.parametrize("p", [P, LARGEST_PRIME])
+def test_chunked_clearing_matches_reference(p):
+    for A, widths in chunk_edge_matrices(p):
+        want = reference_rank(A, p)
+        assert in_row_chunks(lambda: stream_rank(A, p, widths, RESIDUE_DTYPE)) == [want] * 6, widths
+
+
+def test_chunked_clearing_of_top_heavy_matrices():
+    """Residues near p - 1 at the largest prime, where an entry left
+    unreduced before a product breaks float64's exact range."""
+    for A, width in top_heavy_matrices(LARGEST_PRIME):
+        want = reference_rank(A, LARGEST_PRIME)
+        assert in_row_chunks(lambda: stream_rank(A, LARGEST_PRIME, [width], RESIDUE_DTYPE)) == [want] * 6
+
+
+def test_chunked_clearing_of_directions_off_a_row_sample():
+    """The g < b residual, cleared and absorbed in chunks of a few rows."""
+    p = 32749
+    A = off_sample_matrix(p)
+    want = reference_rank(A.T, p)
+    for widths in ([16], [48]):
+        assert in_row_chunks(lambda: stream_rank(A, p, widths, RESIDUE_DTYPE)) == [want] * 6
