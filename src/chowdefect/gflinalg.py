@@ -80,7 +80,7 @@ _SAMPLE_EXTRA = 32  # a tall block of width b seeks its pivots on b + 32 of its 
 _CLEAR_ROWS = 1024  # clearing products and reductions run over this many rows at a time
 
 
-def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
+def _reduce_mod(arr: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """In-place exact mod p for integral float64 values below 2^52.
 
     Below about 600 entries one `%` is fastest (4x at 64, a leaf's width).
@@ -90,7 +90,8 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
     Every intermediate stays below 2^52, so all is exact.  The six calls
     take about 10 us at any size, 3x less than `%` at 4495 entries.  A
     matrix taller than _CLEAR_ROWS is reduced in row chunks, so that its
-    quotient temporary is a chunk, not a copy of the whole matrix.
+    quotient temporary is a chunk, not a copy of the whole matrix; a
+    chunk-sized caller passes a float64 `scratch` of arr's shape to hold it.
     """
     if arr.size < 600:
         arr %= p
@@ -99,7 +100,7 @@ def _reduce_mod(arr: np.ndarray, p: int) -> np.ndarray:
         for a in range(0, len(arr), _CLEAR_ROWS):
             _reduce_mod(arr[a : a + _CLEAR_ROWS], p)
         return arr
-    q = np.multiply(arr, 1.0 / p)
+    q = np.multiply(arr, 1.0 / p, out=scratch)
     np.floor(q, out=q)
     q *= p
     arr -= q
@@ -120,12 +121,13 @@ def _extract_leaf(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.nd
     allowed row, so the search stops once they are all taken.
     """
     cap = B.shape[0] if head is None else head
-    cols = np.array(B.T)  # one contiguous row per column of B
+    cols = np.array(B.T)  # one contiguous row per column of B, in B's dtype
     C = np.empty((min(len(cols), cap), B.shape[0]), dtype=np.float64)
     X = np.zeros((len(C), len(C)), dtype=np.float64)
     rows = np.empty(len(C), dtype=np.intp)
     k = 0
     for col in cols:
+        col = col.astype(np.float64, copy=False)  # an int16 column is widened only here
         if k:  # before the first pivot a column is B's own, already reduced
             col -= (X[:k, :k] @ col[rows[:k]] % p) @ C[:k]
             _reduce_mod(col, p)
@@ -143,7 +145,7 @@ def _extract_leaf(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.nd
             break
     if not k:
         return None, []
-    return _reduce_mod(C[:k].T @ X[:k, :k], p), rows[:k].tolist()
+    return _reduce_mod(C[:k].T @ X[:k, :k], p).astype(RESIDUE_DTYPE), rows[:k].tolist()
 
 
 def _extract_jordan(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.ndarray | None, list[int]]:
@@ -169,24 +171,40 @@ def _extract_jordan(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.
         temp.store(*_extract_leaf(F, p, None if head is None else head - temp.rank))
         if temp.rank == cap:
             break
-    g = temp.rank
+    g, gens, perm = temp.rank, temp.generations, temp.perm
+    del temp  # and with it the float64 scratch of its clearing
     if g == 0:
         return None, []
     # In basis order the generations stack into an m x g matrix C whose
     # top g x g block L is block unit lower triangular.  Its inverse X
     # follows by block forward substitution, X[i, :i] = -L[i, :i] @ X[:i, :i],
-    # one product per generation, which reads C only below the diagonal
-    # blocks; C @ X is the identity on top, and its rows are scattered
-    # back to the block's own row order.
-    C = np.empty((B.shape[0], g), dtype=np.float64)
-    X = np.eye(g)
-    for start, end, T in temp.generations:
-        C[end:, start:end] = T
-        X[start:end, :start] = _reduce_mod(-(C[start:end, :start] @ X[:start, :start]), p)
-    Cn = np.empty_like(C)
-    Cn[temp.perm[:g]] = np.eye(g)
-    Cn[temp.perm[g:]] = _reduce_mod(C[g:] @ X, p)
-    return Cn, temp.perm[:g].tolist()
+    # one product per generation, which reads L only below its diagonal
+    # blocks.  C @ X is the identity on top; below, it is computed one row
+    # chunk of the int16 generations at a time and narrowed as its rows
+    # are scattered back to the block's own row order.
+    m = B.shape[0]
+    L, X = np.zeros((g, g)), np.eye(g)
+    for start, end, T in gens:
+        L[end:, start:end] = T[: g - end]
+        X[start:end, :start] = _reduce_mod(-(L[start:end, :start] @ X[:start, :start]), p)
+    Cn = np.empty((m, g), dtype=RESIDUE_DTYPE)
+    Cn[perm[:g]] = np.eye(g)
+    for a in range(g, m, _CLEAR_ROWS):
+        z = min(a + _CLEAR_ROWS, m)
+        C = np.empty((z - a, g))
+        for start, end, T in gens:
+            C[:, start:end] = T[a - end : z - end]
+        Cn[perm[a:z]] = _reduce_mod(C @ X, p, C)
+    return Cn, perm[:g].tolist()
+
+
+def _take(buf: np.ndarray, shape: tuple[int, int], src: np.ndarray | None = None) -> np.ndarray:
+    """A C-order array of `shape` on the front of the flat buffer `buf`,
+    filled from `src` (widening an int16 source) when it is given."""
+    view = buf[: shape[0] * shape[1]].reshape(shape)
+    if src is not None:
+        np.copyto(view, src)
+    return view
 
 
 def _pivot_moves(rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -230,39 +248,64 @@ class _GenerationBasis:
         self.inv = np.arange(length)
         self.generations: list[tuple[int, int, np.ndarray]] = []  # (start, end, int16 rows below end)
         self.rank = 0
-        self._wide = np.empty(0)  # float64 scratch that one int16 row chunk is widened into
+        self._width = 0  # the widest panel so far, which sizes the float64 scratch of _scratch
+        self._work = np.empty(0)
+
+    def _scratch(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flat float64 buffers for panels of up to w columns, w the widest
+        panel so far: the accumulator, the widened chunk and the product,
+        of c*w entries each for c = min(length, _CLEAR_ROWS) rows, and w*w
+        for pivot rows.  Allocated once, and again only for a wider panel."""
+        if b > self._width:
+            self._width = b
+            self._work = np.empty((3 * min(len(self.perm), _CLEAR_ROWS) + b) * b)
+        c = min(len(self.perm), _CLEAR_ROWS) * self._width
+        w = self._work
+        return w[:c], w[c : 2 * c], w[2 * c : 3 * c], w[3 * c :]
 
     def clear_block(self, B: np.ndarray) -> np.ndarray:
         """The free rows of block B, cleared against all generations and reduced.
 
         B is (length x b) in input row order, int16 from the builders, and
-        is left untouched; the result is a new (length - rank) x b float64
-        array in basis order.  Permuting B into basis order is its one copy
-        and the one place it is widened to float64: a scatter through the
-        inverse permutation, which casts on the way and, from an F-order
-        block, runs 3x faster than a row gather.  Each generation's product
-        runs in row chunks, each widened to float64 in one reused buffer,
-        and so does the final reduction: every temporary is a chunk, not a
-        block.
+        is left untouched; the result is a new (length - rank) x b int16
+        array in basis order, a view of the cleared panel.  B is scattered
+        into basis order through the inverse permutation, as int16, then
+        cleared one chunk of _CLEAR_ROWS rows at a time, top-down: the
+        chunk is widened into the float64 accumulator, and every generation
+        whose pivot block ends above the chunk's last row is subtracted, one
+        product each.  Its pivot rows are final by then: those above the
+        chunk sit in the int16 panel, and those in the chunk have been
+        cleared by every earlier generation and are reduced in place first.
+        The chunk is then reduced and narrowed back into the panel.  The
+        float64 working set is the three chunk buffers and the pivot rows
+        of _scratch, reused for every panel.
         """
         p = self.p
-        Bp = np.empty(B.shape, dtype=np.float64)
-        Bp[self.inv] = B
-        for start, end, T in self.generations:
-            # rows start..end-1 are read only here, so they are reduced in place
-            U = _reduce_mod(Bp[start:end], p)
-            for a in range(0, T.shape[0], _CLEAR_ROWS):
-                chunk = T[a : a + _CLEAR_ROWS]
-                Bp[end + a : end + a + len(chunk)] -= self._widen(chunk) @ U
-        return _reduce_mod(Bp[self.rank :], p)
-
-    def _widen(self, chunk: np.ndarray) -> np.ndarray:
-        """An int16 chunk copied into the float64 scratch buffer, grown on demand."""
-        if self._wide.size < chunk.size:
-            self._wide = np.empty(chunk.size)
-        wide = self._wide[: chunk.size].reshape(chunk.shape)
-        np.copyto(wide, chunk)
-        return wide
+        n, b = B.shape
+        panel = np.empty((n, b), dtype=RESIDUE_DTYPE)
+        panel[self.inv] = B
+        acc_buf, wide_buf, prod_buf, u_buf = self._scratch(b)
+        for a in range(0, n, _CLEAR_ROWS):
+            z = min(a + _CLEAR_ROWS, n)
+            acc = _take(acc_buf, (z - a, b), panel[a:z])
+            done = a  # rows a..done-1 of the chunk are reduced
+            for start, end, T in self.generations:
+                if end >= z:
+                    break  # this generation and the later ones clear only rows past the chunk
+                U = _take(u_buf, (end - start, b))
+                k = min(max(a - start, 0), end - start)  # pivot rows above the chunk
+                U[:k] = panel[start : start + k]
+                if k < end - start:
+                    mine = acc[start + k - a : end - a]
+                    U[k:] = _reduce_mod(mine, p, _take(prod_buf, mine.shape))
+                    done = end
+                lo = max(end, a)
+                wide = _take(wide_buf, (z - lo, end - start), T[lo - end : z - end])
+                acc[lo - a :] -= np.matmul(wide, U, out=_take(prod_buf, (z - lo, b)))
+            rest = acc[done - a :]
+            _reduce_mod(rest, p, _take(prod_buf, rest.shape))
+            panel[a:z] = acc
+        return panel[self.rank :]
 
     def store(self, Cj: np.ndarray | None, rows: list[int]) -> int:
         """Freeze Jordan columns on the free rows as the next generation.
@@ -282,13 +325,15 @@ class _GenerationBasis:
     def absorb(self, F: np.ndarray) -> int:
         """Extract new pivots from the output of clear_block; returns how many.
 
-        A block with more than three free rows per column seeks its
-        pivots on b + 32 evenly spaced rows of the m free rows: W, the
-        combination of F's columns that is Jordan on the sample, comes
-        from the sample stacked over the identity, and F @ W is the new
-        generation at full height, computed and reduced in row chunks.
-        When fewer than b pivots turn up, each chunk is also cleared
-        against its part of that generation, and what is left of F is
+        F is the int16 panel on the m free rows.  With at most three free
+        rows per column it is widened whole and extracted at full height.
+        Otherwise its pivots are sought on b + 32 evenly spaced rows: W, the
+        combination of F's columns that is Jordan on the sample, comes from
+        the widened sample stacked over the identity, and F @ W is the new
+        generation at full height, each row chunk of F widened into the
+        scratch buffers, multiplied and reduced.  When fewer than b pivots
+        turn up, each chunk is also cleared against its part of that
+        generation and narrowed back into F, and what is left of F is
         absorbed at full height (see the module docstring).  F is consumed.
         """
         m, b = F.shape
@@ -304,19 +349,22 @@ class _GenerationBasis:
         g = len(rows)
         if g:
             self._move_to_front(sample[rows].tolist(), F)
-            W, top = Cs[s:], F[:g]
+            rest_buf, wide_buf, prod_buf, u_buf = self._scratch(b)
+            W, top = Cs[s:].astype(np.float64), _take(u_buf, (g, b), F[:g])
             T = np.empty((m - g, g), dtype=RESIDUE_DTYPE)
             for a in range(g, m, _CLEAR_ROWS):
-                rest = F[a : a + _CLEAR_ROWS]
-                chunk = _reduce_mod(rest @ W, p)
-                T[a - g : a - g + len(rest)] = chunk
+                z = min(a + _CLEAR_ROWS, m)
+                rest = _take(rest_buf, (z - a, b), F[a:z])
+                chunk = np.matmul(rest, W, out=_take(prod_buf, (z - a, g)))
+                T[a - g : z - g] = _reduce_mod(chunk, p, _take(wide_buf, chunk.shape))
                 if g < b:  # what the sample missed: F cleared against the new generation
-                    rest -= chunk @ top
+                    rest -= np.matmul(chunk, top, out=_take(wide_buf, rest.shape))
+                    F[a:z] = _reduce_mod(rest, p, _take(wide_buf, rest.shape))
             self.generations.append((self.rank, self.rank + g, T))
             self.rank += g
             if g == b:
                 return g
-            F = _reduce_mod(F[g:], p)
+            F = F[g:]
         if not F.any():
             return g
         return g + self.store(*_extract_jordan(F, p))
@@ -347,17 +395,22 @@ def basis_bytes(rows: int, cols: int, block: int = DEFAULT_BLOCK) -> int:
     `block` columns, holds at its peak.
 
     The int16 basis on the free rows, rows*r - r^2/2 entries at rank
-    r <= min(rows, cols), plus the working set beside it: the int16 block
-    in hand and, for the panel being absorbed (_panel_width(rows) columns,
-    64 below 2048 rows and 256 from there on, at most the block), its
-    float64 permuted copy and the float64 clearing scratch, three row
-    chunks of up to _CLEAR_ROWS rows (a widened generation chunk, its
-    product and the reduction's quotient).
+    r <= min(rows, cols), plus the working set beside it.  That is the
+    int16 block in hand and, for the panel being cleared (w =
+    _panel_width(rows) columns, 64 below 2048 rows and 256 from there on,
+    at most the block), its int16 copy in basis order and the float64
+    scratch: three row chunks of min(rows, _CLEAR_ROWS) x w (the
+    accumulator, a widened chunk and the product) and w x w pivot rows,
+    plus the pivot search's float64 temporaries, three arrays of at most
+    3w x w, as it works on at most 3w rows at full height or on the
+    sampled stack.  No float64 array of the panel's full height is held.
     """
     r = min(rows, cols)
     w = min(block, cols)
     panel = min(_panel_width(rows), w)
-    return 2 * (rows * r - r * r // 2) + 2 * rows * w + panel * (8 * rows + 8 * 3 * min(rows, _CLEAR_ROWS))
+    chunk = min(rows, _CLEAR_ROWS)
+    return (2 * (rows * r - r * r // 2) + 2 * rows * (w + panel)
+            + 8 * panel * (3 * chunk + panel) + 24 * panel * min(rows, 3 * panel))
 
 
 def rank_from_column_blocks(
@@ -370,15 +423,18 @@ def rank_from_column_blocks(
     """Rank over Z_P of the matrix whose columns arrive in blocks.
 
     Blocks are (n_rows x b) arrays of entries already in 0..P-1, of any
-    layout.  The builders hand int16 (RESIDUE_DTYPE), which holds every
-    residue exactly; any numeric dtype that does is accepted, as
-    clear_block casts each panel to float64 as it permutes it.  Each
-    block is cleared and absorbed in panels of _panel_width(n_rows)
-    columns.  Only the block in hand is held, never the whole matrix, so
-    peak memory is the int16 basis on its free rows plus the working set,
-    at most basis_bytes(n_rows, cols, b) for cols columns in all.  Stops
-    consuming blocks once the rank hits n_rows.  A modulus that is not a
-    prime up to gfpoly.MAX_PRIME raises ValueError, before any block.
+    layout and any numeric dtype.  The builders hand int16
+    (RESIDUE_DTYPE), which holds every residue exactly; clear_block
+    scatters each panel into int16, so a block with an entry that int16
+    would not hold as the residue it is, a non-integral one or one
+    outside 0..P-1, raises DimensionMismatch naming the block (one min
+    and max per block).  Each block is cleared and absorbed in panels of
+    _panel_width(n_rows) columns.  Only the block in hand is held, never
+    the whole matrix, so peak memory is the int16 basis on its free rows
+    plus the working set, at most basis_bytes(n_rows, cols, b) for cols
+    columns in all.  Stops consuming blocks once the rank hits n_rows.  A
+    modulus that is not a prime up to gfpoly.MAX_PRIME raises ValueError,
+    before any block.
     """
     PrimeField(modulus)
     if n_rows == 0:
@@ -386,10 +442,16 @@ def rank_from_column_blocks(
     basis = _GenerationBasis(n_rows, modulus)
     width = _panel_width(n_rows)
     done = 0
-    for raw in blocks:
+    for index, raw in enumerate(blocks):
         B = np.asarray(raw)
         if B.ndim != 2 or B.shape[0] != n_rows:
             raise DimensionMismatch(f"block shape {B.shape} incompatible with {n_rows} rows")
+        if B.size and not (0 <= B.min() and B.max() < modulus
+                           and (B.dtype.kind in "biu" or np.array_equal(B, np.floor(B)))):
+            raise DimensionMismatch(
+                f"block {index} (columns {done}..{done + B.shape[1] - 1}) holds an entry that is not"
+                f" a residue in 0..{modulus - 1}: min {B.min()}, max {B.max()}"
+            )
         done += B.shape[1]
         for a in range(0, B.shape[1], width):
             if basis.rank == n_rows:

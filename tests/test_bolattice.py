@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -398,6 +399,42 @@ def test_basis_storage_within_plan(monkeypatch):
         n, r = out.rows, outer.rank
         stored = sum(T.nbytes for _, _, T in outer.generations)
         assert 0 < stored <= 2 * (n * r - r * r // 2) <= bound
+
+
+@pytest.mark.parametrize("t", [20, 28])
+def test_rank_working_set_within_its_price(monkeypatch, t):
+    """Quaternary t s2 (1771 rows in 64-wide panels at t=20, 4495 rows in
+    256-wide ones at t=28), its int16 blocks built first and then ranked
+    under tracemalloc: the traced peak is at most the final stored
+    generations plus the working-set part of basis_bytes, what it prices
+    beside the 2 * (n*r - r^2/2) bytes of basis.  Unlike peak RSS, which
+    moves with allocator layout, traced allocations repeat exactly, so a
+    float64 copy of a whole panel (8.8 MiB at t=28) would show."""
+    from chowdefect import gflinalg
+
+    bases = []
+
+    class Recording(gflinalg._GenerationBasis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if not bases:  # the statement's basis; those of pivot extraction come later
+                bases.append(self)
+
+    monkeypatch.setattr(gflinalg, "_GenerationBasis", Recording)
+    plan = bo.plan_statement(QUAT, t, "s2")
+    spec = bo.prepare_build(QUAT, t, plan["i"], plan["eta"], plan["mu"], FormSampler(20260809, F))
+    blocks = list(bo.column_blocks(spec, F))
+    tracemalloc.start()
+    try:
+        found = rank_from_column_blocks(iter(blocks), spec.rows, F.modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == plan["expected"]
+    n, r = plan["rows"], min(plan["rows"], plan["cols"])
+    working_set = plan["basis_bytes"] - 2 * (n * r - r * r // 2)
+    stored = sum(T.nbytes for _, _, T in bases[0].generations)
+    assert peak <= stored + working_set, {"peak": peak, "stored": stored, "working_set": working_set}
 
 
 # VmHWM, KiB: this address space's peak RSS.  ru_maxrss would start at

@@ -87,6 +87,23 @@ def test_from_columns_validation():
     assert stream_rank(np.array([[1, 2, 3]] * 3).T) == 1
 
 
+def test_blocks_int16_would_not_hold_are_refused():
+    """Every panel is scattered into int16, so an entry that is no residue,
+    non-integral or outside 0..P-1, is refused with the block's name rather
+    than wrapped; float64 and int64 blocks of residues give the reference rank."""
+    rng = np.random.default_rng(14)
+    A = rng.integers(0, P, (40, 30))
+    want = reference_rank(A)
+    for dtype in (np.float64, np.int64):
+        assert stream_rank(A, P, [7], dtype) == want
+    for bad, dtype in ((8191.5, np.float64), (0.5, np.float64), (np.nan, np.float64),
+                       (40000, np.int64), (P, np.int64), (-1, np.int64)):
+        B = A.astype(dtype)
+        B[3, 9] = bad
+        with pytest.raises(DimensionMismatch, match=r"block 1 \(columns 7\.\.13\)"):
+            stream_rank(B, P, [7], dtype)
+
+
 @pytest.mark.parametrize("modulus", [0, 1, 4, 6, 32771])
 def test_modulus_must_be_a_storable_prime(modulus):
     # over Z_4 or Z_6 elimination returns a number that is no rank; refused before any block,
