@@ -222,8 +222,8 @@ def point_split(config: LatticeConfig, t: int, branch: str) -> tuple[int, int, i
 # writes them straight into the blocks.  For tangent columns src is a
 # padded partial product and index holds division-map rows, one per x_v.
 # Sources and blocks are RESIDUE_DTYPE (int16), which holds every entry
-# below P < 2^15 exactly; the rank engine widens a block to float64 only
-# as it permutes it into basis order.  The groups hold only the
+# below P < 2^15 exactly; the rank engine keeps each panel int16 and
+# widens only a row chunk at a time for its products.  The groups hold only the
 # generators that can add to the span (gfpoly.tangent_groups): the dropped
 # ones are exact combinations of kept ones, so the stream has the rank of
 # the full generator set, whose shape (column_count) the certificate
@@ -422,10 +422,10 @@ def column_blocks(spec: BuildSpec, field: PrimeField, block: int = DEFAULT_BLOCK
 
     Columns are generated as the blocks are pulled and gathered by
     gfpoly.gather_blocks, as the oracle's are, straight into fresh F-order
-    int16 blocks, which the rank widens to float64 only as it permutes
-    them; for dimension induction only the rows in Y are written.  A
-    drained stream whose column count is not kept_column_count(spec)
-    raises AssertionError.
+    int16 blocks, which the rank keeps int16 and widens a row chunk at a
+    time for its products; for dimension induction only the rows in Y are
+    written.  A drained stream whose column count is not
+    kept_column_count(spec) raises AssertionError.
     """
     groups = _degree_columns(spec, field) if spec.family == QUATERNARY else _dimension_columns(spec, field)
     emitted = 0

@@ -49,16 +49,24 @@ statements (2-core x86-64, OpenBLAS on one thread), 64- vs 256-wide
 panels: 51 vs 76 ms at 969 rows, 187 vs 227 ms at 1771, 525 vs 519 ms
 at 2600, 2.54 vs 2.25 s at 4495; the crossover lies near 2600 rows.
 
-All bulk arithmetic runs in float64 BLAS calls on integers.  Column
-blocks arrive as int16, and permuting one into basis order is both its
-only copy and the one place it is widened to float64; a stored
-generation is widened one row chunk at a time, into one scratch buffer,
-just before its product.  Entries are kept in 0..P-1 with P < 2^15 and
-reduction is delayed: a cleared block accumulates at most rank products
-of two reduced values, and the sampled products have inner dimension
-b < m, so every partial result stays below 2^53 where float64 is exact.
-The computed rank is therefore the exact rank over Z_P, independent of
-BLAS threading or scheduling.
+All bulk arithmetic runs in float64 BLAS calls on integers, and only
+the products need float64: a panel is held as int16 between them.
+Column blocks arrive as int16 and are scattered into basis order as
+int16; clearing then walks the panel top-down in chunks of _CLEAR_ROWS
+rows, each widened into one float64 accumulator, cleared, reduced and
+narrowed back, and pivot extraction widens only what it multiplies: the
+sampled stack, one row chunk at a time of the products, and a panel at
+full height only when it has at most three rows per column.  A stored
+generation is widened one row chunk at a time too, into one reused
+scratch buffer, just before its product.  So beside its int16 basis a
+rank holds the int16 block and panel and a few float64 row chunks,
+never a float64 copy of a panel's full height (basis_bytes).  Entries
+are kept in 0..P-1 with P < 2^15 and reduction is delayed: a cleared
+row accumulates at most rank products of two reduced values, and the
+sampled products have inner dimension b < m, so every partial result
+stays below 2^53 where float64 is exact.  The computed rank is
+therefore the exact rank over Z_P, independent of BLAS threading or
+scheduling.
 """
 
 from __future__ import annotations
@@ -118,16 +126,17 @@ def _extract_leaf(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.nd
     times p - inv, exact as k*p^3 < 2^51 for k < 64 and p < 2^15.  Pivots
     are taken only in the first `head` rows, if given: a column that is
     zero there once cleared counts as dependent.  Each pivot takes a new
-    allowed row, so the search stops once they are all taken.
+    allowed row, so the search stops once they are all taken.  B, int16
+    or float64, is widened into one contiguous row per column, at most
+    _LEAF_WIDTH of them, and the Jordan columns are returned as int16.
     """
     cap = B.shape[0] if head is None else head
-    cols = np.array(B.T)  # one contiguous row per column of B, in B's dtype
+    cols = np.ascontiguousarray(B.T, dtype=np.float64)  # one contiguous row per column of B
     C = np.empty((min(len(cols), cap), B.shape[0]), dtype=np.float64)
     X = np.zeros((len(C), len(C)), dtype=np.float64)
     rows = np.empty(len(C), dtype=np.intp)
     k = 0
     for col in cols:
-        col = col.astype(np.float64, copy=False)  # an int16 column is widened only here
         if k:  # before the first pivot a column is B's own, already reduced
             col -= (X[:k, :k] @ col[rows[:k]] % p) @ C[:k]
             _reduce_mod(col, p)
@@ -154,11 +163,11 @@ def _extract_jordan(B: np.ndarray, p: int, head: int | None = None) -> tuple[np.
     A block wider than _LEAF_WIDTH is cleared through a temporary
     generation basis in _LEAF_WIDTH-wide pieces, each piece's pivots
     taken by _extract_leaf, so the work between pieces lands in matrix
-    products; the returned columns are an exact identity on their own
-    pivot rows.  `head` restricts the pivot rows as in _extract_leaf.
-    Pivot moves only touch rows up to the last pivot row, so the rows
-    past `head` keep their places, and in the temporary basis the allowed
-    rows are the first head - rank free ones.
+    products; the returned columns, int16 as B's entries may be, are an
+    exact identity on their own pivot rows.  `head` restricts the pivot
+    rows as in _extract_leaf.  Pivot moves only touch rows up to the last
+    pivot row, so the rows past `head` keep their places, and in the
+    temporary basis the allowed rows are the first head - rank free ones.
     """
     cap = B.shape[0] if head is None else head
     if B.shape[1] == 0 or cap <= 0:
@@ -233,8 +242,9 @@ class _GenerationBasis:
     and the rest are free.  A generation with pivot positions start..end-1
     has columns that are zero above start and the identity on its own
     block, so only its (length - end) x g part below the block is stored.
-    Incoming blocks are permuted once and cleared generation by generation
-    in order, each product touching only the rows below that generation.
+    Incoming blocks are permuted once, as int16, and cleared a row chunk
+    at a time, generation by generation in order, each product touching
+    only the rows below that generation.
     New pivot rows are moved to the front of the free suffix by row swaps
     that are applied to every stored generation, so no generation is
     ever recomputed or gathered in full.
@@ -292,13 +302,13 @@ class _GenerationBasis:
             for start, end, T in self.generations:
                 if end >= z:
                     break  # this generation and the later ones clear only rows past the chunk
-                U = _take(u_buf, (end - start, b))
-                k = min(max(a - start, 0), end - start)  # pivot rows above the chunk
-                U[:k] = panel[start : start + k]
-                if k < end - start:
-                    mine = acc[start + k - a : end - a]
-                    U[k:] = _reduce_mod(mine, p, _take(prod_buf, mine.shape))
-                    done = end
+                if start >= a:  # the pivot block lies in the chunk
+                    U = _reduce_mod(acc[start - a : end - a], p, _take(prod_buf, (end - start, b)))
+                else:  # its rows above the chunk are final in the panel
+                    U = _take(u_buf, (end - start, b), panel[start:end])
+                    if end > a:  # it straddles the chunk's top edge
+                        U[a - start :] = _reduce_mod(acc[: end - a], p, _take(prod_buf, (end - a, b)))
+                done = max(done, end)
                 lo = max(end, a)
                 wide = _take(wide_buf, (z - lo, end - start), T[lo - end : z - end])
                 acc[lo - a :] -= np.matmul(wide, U, out=_take(prod_buf, (z - lo, b)))
@@ -326,15 +336,16 @@ class _GenerationBasis:
         """Extract new pivots from the output of clear_block; returns how many.
 
         F is the int16 panel on the m free rows.  With at most three free
-        rows per column it is widened whole and extracted at full height.
-        Otherwise its pivots are sought on b + 32 evenly spaced rows: W, the
-        combination of F's columns that is Jordan on the sample, comes from
-        the widened sample stacked over the identity, and F @ W is the new
-        generation at full height, each row chunk of F widened into the
-        scratch buffers, multiplied and reduced.  When fewer than b pivots
-        turn up, each chunk is also cleared against its part of that
-        generation and narrowed back into F, and what is left of F is
-        absorbed at full height (see the module docstring).  F is consumed.
+        rows per column its pivots are extracted at full height
+        (_extract_jordan).  Otherwise they are sought on b + 32 evenly
+        spaced rows: W, the combination of F's columns that is Jordan on
+        the sample, comes from the widened sample stacked over the
+        identity, and F @ W is the new generation at full height, each row
+        chunk of F widened into the scratch buffers, multiplied and
+        reduced.  When fewer than b pivots turn up, each chunk is also
+        cleared against its part of that generation and narrowed back into
+        F, and what is left of F is absorbed at full height (see the module
+        docstring).  F is consumed.
         """
         m, b = F.shape
         if m <= 3 * b:
