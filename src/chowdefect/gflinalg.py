@@ -266,10 +266,11 @@ class _GenerationBasis:
         panel so far: the accumulator, the widened chunk and the product,
         of c*w entries each for c = min(length, _CLEAR_ROWS) rows, and w*w
         for pivot rows.  Allocated once, and again only for a wider panel."""
+        c = min(len(self.perm), _CLEAR_ROWS)
         if b > self._width:
             self._width = b
-            self._work = np.empty((3 * min(len(self.perm), _CLEAR_ROWS) + b) * b)
-        c = min(len(self.perm), _CLEAR_ROWS) * self._width
+            self._work = np.empty((3 * c + b) * b)
+        c *= self._width
         w = self._work
         return w[:c], w[c : 2 * c], w[2 * c : 3 * c], w[3 * c :]
 

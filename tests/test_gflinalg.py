@@ -353,11 +353,12 @@ def test_property_tall_blocks_match_reference(case, widths):
     assert on_both_paths(lambda: stream_rank(A, p, widths)) == [reference_rank(A.T, p)] * 2
 
 
-def off_sample_matrix(p=32749, rows=1000):
-    """Three 16-wide blocks: a dense one; one whose columns are combinations
-    of the first plus one entry on their own random row, most of them away
-    from any fixed sample of 48 rows out of 1000; and five hidden rows.
+def off_sample_matrix(p):
+    """Three 16-wide blocks of 1000 rows: a dense one; one whose columns are
+    combinations of the first plus one entry on their own random row, most
+    of them away from any fixed sample of 48 rows; and five hidden rows.
     Rank 37, found only through the g < b residual."""
+    rows = 1000
     rng = np.random.default_rng(11)
     first = rng.integers(0, p, (rows, 16))
     second = (first @ rng.integers(0, p, (16, 16))) % p
