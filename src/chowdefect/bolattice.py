@@ -29,7 +29,8 @@ UNVERIFIED, never FALSE.  A rank above expdim contradicts the upper
 bound a_i(t) and raises RankContradiction: the arithmetic or the
 builder is wrong, and no retry can fix that.  Every statement rank,
 verification's and certificate.reverify's, is taken and bounded by one
-step, rank_and_bound.
+step, rank_and_bound, which also pairs the s1 and s2 statements of a t
+into one rank pass.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .finite_calculus import (
+    A_TABLE,
     PROOF_STEP,
     Quasipolynomial,
     backward_diff,
@@ -164,10 +166,8 @@ def plan_statement(config: LatticeConfig, t: int, branch: str) -> dict:
     The point split (point_split) fixes the shape, the expected rank
     min(a_i, N) (for cubics, with the rows the subspaces span eliminated),
     the abundance (SUB, SUPER or EQUI as a_i is below, above or at N) and
-    the rank's memory price.  Both branches are priced at the s2 shape:
-    an s1 verification ranks the s2 stream (see verify_statement), and so
-    does the reverification of an s1 certificate whose provenance is
-    confirmed (certificate.reverify).
+    the rank's memory price.  Both branches are priced at the s2 shape,
+    since an s1 statement is ranked paired with s2 (rank_and_bound).
     Only a t from config.t_first to t0 has a statement, by this rule
     alone; any other t raises ValueError, and a bad point count
     NegativeCount.
@@ -464,24 +464,51 @@ class VerificationOutcome:
 
 
 def rank_and_bound(
-    passes: list[tuple[dict, BuildSpec]], field: PrimeField, seed: int, progress: ProgressHook | None = None
-) -> list[tuple[int, float, float]]:
-    """Rank the last spec's column stream once, and for each (plan, spec)
-    pair read (found, pull_seconds, rank_seconds) at kept_column_count(spec)
-    and check found against the plan's expected dimension, an upper bound:
-    a rank above it raises RankContradiction.  Each earlier spec's stream
-    must lead the last one's, as an s1 spec's leads its s2 spec's.
+    kind: str, plan: dict, spec: BuildSpec, field: PrimeField, seed: int, handed: tuple | None,
+    paired: FormSampler | None = None, progress: ProgressHook | None = None,
+) -> tuple[int, float, float]:
+    """Rank the plan's statement, whose forms spec holds, and bound it:
+    (found, pull_seconds, rank_seconds), where a found above
+    plan["expected"], an upper bound, raises RankContradiction.  This is
+    the rank step of verify_statement and certificate.reverify, and the
+    one place that pairs s1 with s2.
 
-    Columns are generated as the rank pulls them; the pulls are timed
-    apart.  A block that straddles an earlier mark is split there, so
-    that the rank's per-block report, which `progress` also receives,
-    falls on it.  A mark with no report (full row rank came first) takes
-    the end's figures, as the last pair does; at mark 0 the rank is 0.
+    The s2 forms are the s1 forms followed by those of one more point
+    (form_plan), so the s2 column stream begins with the s1 stream, and
+    from order 2 on it is the s1 stream.  Given `paired`, the sampler
+    that drew the s1 spec's forms, the s2 spec is prepared with it (a
+    sampler draws each key once, so it holds the s1 forms and draws only
+    the extra point's) and the s2 stream is ranked once; the s1 rank is
+    read at its mark, kept_column_count(spec), and both ranks are
+    bounded.  When the s2 rank is the expected one, the s2 read is handed
+    on, keyed by `kind` ("verify" or "reverify") and the exact stream:
+    family, t, i, eta, mu, prime and every form's bytes.  A lone call
+    whose key is that of `handed` (what take_handoff returned on entry)
+    takes the handed read instead of ranking: the same stream has the
+    same rank and the same bound, which the pass that made the read
+    checked.
+
+    Columns are generated as the rank pulls them; the pulls and the
+    preparation of the s2 spec are timed apart from the rank.  A block
+    that straddles the mark is split there, so that the rank's per-block
+    report, which `progress` also receives, falls on it.  A mark with no
+    report (full row rank came first) takes the end's figures; at mark 0
+    the rank is 0.
     """
-    *leading, (_, spec) = passes
-    at = {kept_column_count(lead): None for _, lead in leading}
-    pulled = 0.0
+    global _handoff
     tic = time.perf_counter()
+    s2, stream = plan, spec
+    if paired is not None:
+        config = config_for(spec.family)
+        s2 = plan_statement(config, spec.t, "s2")
+        stream = prepare_build(config, spec.t, s2["i"], s2["eta"], s2["mu"], paired)
+    forms = tuple(coeffs.tobytes() for _, coeffs in stream.forms)
+    key = (kind, stream.family, stream.t, stream.i, stream.eta, stream.mu, field.modulus, forms)
+    if paired is None and handed is not None and handed[0] == key:
+        return handed[1]
+    mark = kept_column_count(spec)
+    pulled = time.perf_counter() - tic
+    at = None
 
     def figures(found):
         return found, pulled, time.perf_counter() - tic - pulled
@@ -491,31 +518,36 @@ def rank_and_bound(
         done, clock = 0, time.perf_counter()
         for B in blocks:
             pulled += time.perf_counter() - clock
-            cuts = [mark - done for mark in at if 0 < mark - done < B.shape[1]]
-            done += B.shape[1]
-            for a, b in zip([0, *cuts], [*cuts, B.shape[1]]):
-                yield B[:, a:b]
+            cut, done = mark - done, done + B.shape[1]
+            if 0 < cut < B.shape[1]:
+                yield B[:, :cut]
+                B = B[:, cut:]
+            yield B
             clock = time.perf_counter()
         pulled += time.perf_counter() - clock
 
     def hook(done, total, rank):
-        if done in at:
-            at[done] = figures(rank)
+        nonlocal at
+        if done == mark:
+            at = figures(rank)
         if progress is not None:
             progress(done, total, rank)
 
-    if 0 in at:
-        at[0] = figures(0)
+    if mark == 0:
+        at = figures(0)
     end = figures(rank_from_column_blocks(
-        pulls(column_blocks(spec, field)), spec.rows, field.modulus, total_cols=kept_column_count(spec), progress=hook,
+        pulls(column_blocks(stream, field)), stream.rows, field.modulus, total_cols=kept_column_count(stream),
+        progress=hook,
     ))
-    read = [at[kept_column_count(lead)] or end for _, lead in leading] + [end]
-    for (plan, _), (found, _, _) in zip(passes, read):
-        if found > plan["expected"]:
+    read = end if paired is None else at or end
+    for bound, (found, _, _) in ((plan, read), (s2, end)):
+        if found > bound["expected"]:
             raise RankContradiction(
-                f"{plan['family']} t={plan['t']} {plan['branch']}: rank {found} exceeds the expected "
-                f"dimension {plan['expected']}, an upper bound (seed {seed})"
+                f"{bound['family']} t={bound['t']} {bound['branch']}: rank {found} exceeds the expected "
+                f"dimension {bound['expected']}, an upper bound (seed {seed})"
             )
+    if paired is not None and end[0] == s2["expected"]:
+        _handoff = (key, end)
     return read
 
 
@@ -547,17 +579,9 @@ def _outcome(
 
 
 # The one hand-off between calls: (key, read) for the s2 stream of the last
-# shared pass, where key is stream_key's and read rank_and_bound's (found,
+# paired rank_and_bound call, which makes the key and the read (found,
 # pull_seconds, rank_seconds).  It holds a read, never a basis.
 _handoff: tuple | None = None
-
-
-def stream_key(kind: str, spec: BuildSpec, field: PrimeField) -> tuple:
-    """What a handed-on read stands for: the kind of call that made it
-    ("verify" or "reverify") and the exact column stream, that is family,
-    t, i, eta, mu, prime and the coefficient bytes of every form."""
-    forms = tuple(coeffs.tobytes() for _, coeffs in spec.forms)
-    return (kind, spec.family, spec.t, spec.i, spec.eta, spec.mu, field.modulus, forms)
 
 
 def take_handoff() -> tuple | None:
@@ -567,27 +591,6 @@ def take_handoff() -> tuple | None:
     global _handoff
     held, _handoff = _handoff, None
     return held
-
-
-def rank_and_hand_off(
-    kind: str, passes: list[tuple[dict, BuildSpec]], field: PrimeField, seed: int, handed: tuple | None,
-    progress: ProgressHook | None = None,
-) -> list[tuple[int, float, float]]:
-    """rank_and_bound(passes, field, seed, progress), with the hand-off
-    between two calls of one kind.  A lone pass whose stream_key(kind, ...)
-    is the key of `handed` (what take_handoff returned on entry) takes the
-    handed read instead of ranking: the same stream has the same rank and
-    the same bound, which the pass that made the read checked.  A pass of
-    several specs hands its last read on when it is the last plan's
-    expected rank; a short one is left to its own call."""
-    global _handoff
-    if len(passes) == 1 and handed is not None and handed[0] == stream_key(kind, passes[0][1], field):
-        return [handed[1]]
-    read = rank_and_bound(passes, field, seed, progress)
-    (plan, spec), found = passes[-1], read[-1][0]
-    if len(passes) > 1 and found == plan["expected"]:
-        _handoff = (stream_key(kind, spec, field), read[-1])
-    return read
 
 
 def verify_statement(
@@ -610,21 +613,14 @@ def verify_statement(
     RankContradiction.  The shape, order and expectation are the plan's
     (plan_statement), so a t with no statement raises ValueError.
 
-    One rank pass serves both branches of a t.  The s2 forms are the s1
-    forms followed by those of one more point (form_plan), so the s2
-    column stream begins with the s1 stream, and from order 2 on it is
-    the s1 stream.  An s1 call prepares the s2 spec with its own sampler,
-    which returns the s1 forms it drew and draws only the extra point's,
-    ranks the s2 stream and reads its own rank at the s1 mark,
-    kept_column_count of its spec; its timings run up to the mark.  A
-    rank above the expected dimension at the mark or at the end raises
-    RankContradiction, and a shortfall at the mark retries s1 alone.
-    When the s2 rank is the expected one, that read is handed on
-    (rank_and_hand_off) to the next call alone: an s2 call draws its own
-    forms and, if they make the same stream at the same prime, takes the
-    read as its attempt 0 instead of ranking; its timings are then its
-    own preparation plus the whole pass.  Every call empties the hand-off
-    first, and a read made by certificate.reverify is never taken here.
+    An s1 call's attempt 0 ranks its statement paired with s2 (see
+    rank_and_bound), so its timings run up to the s1 mark, with the s2
+    spec's preparation counted as construction; a shortfall at the mark
+    retries s1 alone.  An s2 call takes the read an s1 call just handed
+    on when its forms make the same stream at the same prime; its
+    timings are then its own preparation plus the whole pass.  Every
+    call empties the hand-off first, and a read made by
+    certificate.reverify is never taken here.
     """
     handed = take_handoff()
     if retries < 0:
@@ -639,12 +635,9 @@ def verify_statement(
         tic = time.perf_counter()
         spec = prepare_build(config, t, plan["i"], plan["eta"], plan["mu"], sampler)
         resamples = sampler.resamples
-        passes = [(plan, spec)]
-        if branch == "s1" and attempt == 0:
-            s2 = plan_statement(config, t, "s2")
-            passes.append((s2, prepare_build(config, t, s2["i"], s2["eta"], s2["mu"], sampler)))
         prepared = time.perf_counter() - tic
-        (found, *seconds), *_ = rank_and_hand_off("verify", passes, field, attempt_seed, handed, progress)
+        paired = sampler if branch == "s1" and attempt == 0 else None
+        found, *seconds = rank_and_bound("verify", plan, spec, field, attempt_seed, handed, paired, progress)
         attempts.append((attempt_seed, found))
         if found == plan["expected"]:
             break
@@ -726,4 +719,31 @@ def proof_function_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
             kind = plan_statement(config, t, branch)["abundance"] if t <= config.t0 else None
             if kind == (SUPER if branch == "s1" else SUB):
                 bad.append(f"{branch} base case {kind.lower()}abundant at t={t}")
+    return bad
+
+
+def every_t_checks(config: LatticeConfig, t_max: int = 200) -> list[str]:
+    """What carries the checks through t_max to every t; returns what falls
+    short.
+
+    From t0 on K(t) = K0, so identities (1)-(3) of induction_arithmetic_check
+    and the s identities of proof_function_checks are quasi-polynomials
+    in t of period ell and degree at most K0 = 3: K0 + 1 values of t in
+    each residue class of t0..t_max prove them for every t (t_max >= 189
+    for the proof's ell = 27).  On the class of a in A_TABLE,
+    s2*m - N = ((3a + 40)*t + a)/27, whose slope lies strictly between 0
+    and 3, the slope of m, whenever -13 <= a <= 13; then
+    0 <= s2*m - N < m, that is s2 = ceil(N/m), carries from t_max to
+    every later t of the class.
+    """
+    bad = []
+    points = config.k0 + 1
+    for r in range(config.ell):
+        count = sum(1 for t in range(config.t0, t_max + 1) if t % config.ell == r)
+        if count < points:
+            bad.append(f"t = {r} mod {config.ell} has {count} values in {config.t0}..{t_max}, fewer than {points}")
+    for r, a in enumerate(A_TABLE):
+        slope = Fraction(3 * a + 40, 27)
+        if not 0 < slope < 3:
+            bad.append(f"s2*m - N has slope {slope} on t = {r} mod 27, not strictly between 0 and 3")
     return bad

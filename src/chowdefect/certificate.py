@@ -19,10 +19,10 @@ and nothing after the trailer).  Coefficients are right-aligned to the
 width of P-1 and space separated.  Timing lines are preserved verbatim
 through parse/emit round-trips and excluded from the
 determinism guarantee; everything else is byte-reproducible from the
-seed.  An s1 call ranks the s2 stream, which begins with the s1 columns,
-and hands the s2 rank on (bolattice.verify_statement): the s1 timing
-lines then run up to the end of the s1 columns, and the s2 lines cover
-the s2 call's own preparation and the whole pass, the s1 part included.
+seed.  An s1 statement is ranked paired with its s2 statement
+(bolattice.rank_and_bound), so its timing lines run up to the end of the
+s1 columns, and an s2 statement that takes the handed-on read covers its
+own preparation and the whole pass.
 
 The shape line counts the full generator set of the statement
 (bolattice.column_count).  Verification and reverification rank the
@@ -49,19 +49,14 @@ recorded coefficients (a single flipped coefficient still yields a
 generic configuration of the same rank, so the rank check alone cannot
 see it).
 
-A pair is reverified in one rank pass, as it was verified.  When an s1
-certificate's provenance is confirmed, its s2 spec is prepared with the
-provenance check's sampler: the recorded s1 forms, which that sampler
-has just re-drawn byte for byte, followed by the extra s2 point's forms,
-drawn from the seed then.  Both specs are ranked in one rank_and_bound
-pass; the s1 rank is read at the end of its columns and the s2 rank is
-handed on (bolattice.rank_and_hand_off).  The next reverification takes
-it only if its own spec, rebuilt from its recorded forms, is that exact
-stream at that prime, so an s2 certificate with any edited form is
-ranked alone.  An s1 certificate whose provenance is a mismatch or
-unknown is ranked alone and hands nothing on.  Either way, the rank
-reported for a certificate is that of the stream its own recorded forms
-build.
+A pair is reverified in one rank pass, as it was verified: an s1
+certificate whose provenance is confirmed is ranked paired with s2 by
+bolattice.rank_and_bound, with the provenance check's sampler, which has
+just re-drawn the recorded s1 forms byte for byte.  The next
+reverification takes the handed-on s2 rank only if its own spec, rebuilt
+from its recorded forms, is that exact stream at that prime.  Either
+way, the rank reported for a certificate is that of the stream its own
+recorded forms build.
 """
 
 from __future__ import annotations
@@ -339,12 +334,9 @@ def reverify(cert: Certificate) -> ReverifyReport:
     the rank step of verify_statement, so a recomputed rank above the
     plan's expected dimension raises bolattice.RankContradiction.  The rank
     check is independent of the original RNG; the provenance check runs
-    when the substream algorithm matches ours.
-
-    An s1 certificate with confirmed provenance is ranked together with
-    its s2 stream, whose rank is handed on to the next call (see the
-    module docstring); a rank above the s2 bound there raises
-    RankContradiction naming s2.
+    when the substream algorithm matches ours.  An s1 certificate with
+    confirmed provenance is ranked paired with s2 (see the module
+    docstring).
     """
     handed = bolattice.take_handoff()
     family = cert.family or _infer_family(cert)
@@ -373,12 +365,9 @@ def reverify(cert: Certificate) -> ReverifyReport:
     field = PrimeField(cert.prime)
     sampler = FormSampler(cert.seed, field)
     provenance = check_provenance(cert, spec, sampler)
-    passes = [(plan, spec)]
-    if plan["branch"] == "s1" and provenance == "confirmed":
-        s2 = bolattice.plan_statement(config, cert.t, "s2")
-        passes.append((s2, bolattice.prepare_build(config, cert.t, s2["i"], s2["eta"], s2["mu"], sampler)))
-    del sampler  # its re-drawn forms are not held through the rank
-    (rank, _, _), *_ = bolattice.rank_and_hand_off("reverify", passes, field, cert.seed, handed)
+    paired = sampler if plan["branch"] == "s1" and provenance == "confirmed" else None
+    del sampler  # a lone rank does not hold its re-drawn forms
+    rank, _, _ = bolattice.rank_and_bound("reverify", plan, spec, field, cert.seed, handed, paired)
 
     rank_matches = rank == cert.found
     verdict_confirmed = rank_matches and cert.verdict == "TRUE"

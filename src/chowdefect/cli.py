@@ -240,12 +240,13 @@ def cmd_selfcheck(args) -> int:
         violations += _newton_power_violations(config, range(90, 90 + 8))
         violations += bolattice.proof_function_checks(config, t_max=t_max)
         violations += bolattice.induction_arithmetic_check(config, range(28, t_max + 1))
+        violations += bolattice.every_t_checks(config, t_max=t_max)
     if violations:
         for v in violations[:10]:
             print(f"VIOLATION: {v}")
         print(f"selfcheck: FAILED ({len(violations)} violations)")
         return 2
-    print(f"selfcheck: OK (arithmetic identities hold through t={t_max})")
+    print(f"selfcheck: OK: arithmetic identities hold for every t (checked through t={t_max})")
     return 0
 
 

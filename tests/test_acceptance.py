@@ -123,6 +123,7 @@ def test_criterion_5_arithmetic_identity_suite():
     for config in (QUAT, CUB):
         violations += bo.proof_function_checks(config, t_max=200)
         violations += bo.induction_arithmetic_check(config, range(28, 201))
+        violations += bo.every_t_checks(config, t_max=200)
     for q in (QUAT.s1, QUAT.s2):
         for order in range(5):
             for t in range(95, 103):
@@ -134,7 +135,7 @@ def test_criterion_5_arithmetic_identity_suite():
     elapsed = time.perf_counter() - start
     assert violations == []
     assert elapsed < 5
-    ok(5, f"all identities hold through t=200 in {elapsed:.2f}s")
+    ok(5, f"all identities hold for every t (checked through t=200) in {elapsed:.2f}s")
 
 
 def test_criterion_6_kernel_oracle_equivalence():

@@ -14,7 +14,7 @@ import pytest
 
 import chowdefect.bolattice as bo
 import chowdefect.certificate as cert
-from chowdefect.finite_calculus import Quasipolynomial, backward_diff, binomial
+from chowdefect.finite_calculus import NonIntegralValue, Quasipolynomial, backward_diff, binomial
 from chowdefect.gfpoly import RESIDUE_DTYPE, PrimeField
 from chowdefect.gflinalg import rank_from_column_blocks
 from chowdefect.sampling import FormSampler
@@ -253,21 +253,47 @@ def test_induction_arithmetic_check_clean():
 
 
 def test_induction_arithmetic_check_catches_mutation():
-    mutated = [list(c) for c in QUAT.s1.coeffs]
-    mutated[13][0] += Fraction(1, 27)  # a(13): -13 -> -12
-    try:
-        bad_s1 = Quasipolynomial(27, mutated)
-        cfg = bo.LatticeConfig("quaternary", 27, 3, 82, bad_s1, QUAT.s2)
-        violations = bo.induction_arithmetic_check(cfg, range(28, 120))
-        violations += bo.proof_function_checks(cfg, t_max=120)
-    except Exception:
-        violations = ["construction or evaluation rejected the mutated table"]
+    """A residue table entry moved by 1 (a(13): -13 -> -12) leaves s1
+    non-integral, which evaluation refuses; moved by 27 in both s (a(13):
+    -13 -> 14), s stays integral and the checks through t = 120 report a
+    violation."""
+    def mutated(s, by):
+        coeffs = [list(c) for c in s.coeffs]
+        coeffs[13][0] += by
+        return Quasipolynomial(27, coeffs)
+
+    cfg = bo.LatticeConfig("quaternary", 27, 3, 82, mutated(QUAT.s1, Fraction(1, 27)), QUAT.s2)
+    with pytest.raises(NonIntegralValue):
+        bo.proof_function_checks(cfg, t_max=120)
+    cfg = bo.LatticeConfig("quaternary", 27, 3, 82, mutated(QUAT.s1, 1), mutated(QUAT.s2, 1))
+    violations = bo.induction_arithmetic_check(cfg, range(28, 120))
+    violations += bo.proof_function_checks(cfg, t_max=120)
     assert violations
 
 
 def test_proof_function_checks_clean():
     for cfg in (QUAT, CUB):
         assert bo.proof_function_checks(cfg, t_max=200) == []
+
+
+def test_every_t_checks_report_thin_classes_and_slopes(monkeypatch):
+    """Through t = 200 every residue class mod 27 has at least 4 values of
+    t from t0 = 82 on, and every A_TABLE entry gives s2*m - N a slope
+    strictly between 0 and 3.  Through t = 150 the classes are thin, and
+    an entry of 14 gives slope 82/27 > 3."""
+    for cfg in (QUAT, CUB):
+        assert bo.every_t_checks(cfg, t_max=200) == []
+        assert bo.every_t_checks(cfg, t_max=189) == []
+        assert bo.every_t_checks(cfg, t_max=188) == ["t = 0 mod 27 has 3 values in 82..188, fewer than 4"]
+        thin = bo.every_t_checks(cfg, t_max=150)
+        assert len(thin) == 27 and "t = 0 mod 27 has 2 values in 82..150, fewer than 4" in thin
+    assert set(bo.A_TABLE) == set(range(-13, 14))
+    table = list(bo.A_TABLE)
+    table[13] = 14
+    monkeypatch.setattr(bo, "A_TABLE", tuple(table))
+    assert bo.every_t_checks(QUAT, t_max=200) == [
+        "s2*m - N has slope 82/27 on t = 13 mod 27, not strictly between 0 and 3"
+    ]
 
 
 def test_oracle_agreement_small_t():
@@ -774,22 +800,30 @@ def test_shared_pass_outcomes_equal_lone_ones(monkeypatch, cfg, t):
 
 
 def test_rank_step_reads_each_leading_stream_at_its_mark():
-    """rank_and_bound ranks the last stream once and reads each leading
-    stream's rank at its mark: one of 0 columns, one that ends inside a
-    256-column block (192 columns) and one that ends on a block boundary
-    (256).  Each read equals the rank of that stream ranked alone, and
-    the caller's hook sees every block, split at the marks."""
+    """rank_and_bound, given the sampler of an s1 spec, ranks the s2 stream
+    it prepares with that sampler once and reads the s1 rank at the s1
+    mark: one of 0 columns, one that ends inside a 256-column block (192
+    columns) and one that ends on a block boundary (256).  Each read
+    equals the rank of that stream ranked alone, the caller's hook sees
+    every block of the s2 stream, split at the mark, and the s2 read is
+    handed on."""
     t = 21  # order 0, 3t+1 = 64 columns a point: 3 points end inside a block, 4 on its edge
-    plan = bo.plan_statement(QUAT, t, "s2")
-    specs = [bo.prepare_build(QUAT, t, 0, eta, 0, FormSampler(5, F)) for eta in (0, 3, 4, 6)]
-    assert [bo.kept_column_count(spec) for spec in specs] == [0, 192, 256, 384]
-    seen = []
-    read = bo.rank_and_bound([(plan, spec) for spec in specs], F, 5, lambda *report: seen.append(report))
-    assert [found for found, _, _ in read] == [
-        rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, F.modulus) for spec in specs
-    ] == [0, 192, 256, 384]
-    assert [(done, total) for done, total, _ in seen] == [(192, 384), (256, 384), (384, 384)]
-    assert read[0][1] == 0.0 and all(pulled >= 0 and ranked >= 0 for _, pulled, ranked in read)
+    plan, s2 = (bo.plan_statement(QUAT, t, b) for b in bo.BRANCHES)
+    edges = list(range(256, s2["eta"] * (3 * t + 1) + 1, 256))  # the s2 stream's block ends
+    for eta, mark in ((0, 0), (3, 192), (4, 256)):
+        sampler = FormSampler(5, F)
+        spec = bo.prepare_build(QUAT, t, 0, eta, 0, sampler)
+        assert bo.kept_column_count(spec) == mark
+        seen = []
+        found, pulled, ranked = bo.rank_and_bound(
+            "verify", plan, spec, F, 5, None, sampler, lambda *report: seen.append(report)
+        )
+        assert found == rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, F.modulus) == mark
+        assert [done for done, _, _ in seen] == sorted({mark, *edges} - {0})
+        assert {total for _, total, _ in seen} == {edges[-1]}
+        _, (s2_found, s2_pulled, _) = bo.take_handoff()
+        assert s2_found == s2["expected"]
+        assert 0 <= pulled <= s2_pulled and ranked >= 0  # the mark is read before the end
 
 
 @pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)
@@ -875,7 +909,9 @@ def test_handoff_goes_only_to_the_next_matching_s2_call(monkeypatch):
     key, read = bo.take_handoff()
     plan = bo.plan_statement(QUAT, 5, "s2")
     spec = bo.prepare_build(QUAT, 5, plan["i"], plan["eta"], plan["mu"], FormSampler(3, F))
-    assert key == bo.stream_key("verify", spec, F)
+    kind, family, t, *_, prime, forms = key
+    assert (kind, family, t, prime) == ("verify", bo.QUATERNARY, 5, F.modulus)
+    assert forms == tuple(coeffs.tobytes() for _, coeffs in spec.forms)
     assert len(read) == 3 and read[0] == plan["expected"]
     assert bo.take_handoff() is None
     assert ranks(QUAT, 5, "s2") == 1  # taken once, so gone
