@@ -464,8 +464,8 @@ class VerificationOutcome:
 
 
 def rank_and_bound(
-    kind: str, plan: dict, spec: BuildSpec, field: PrimeField, seed: int, handed: tuple | None,
-    paired: FormSampler | None = None, progress: ProgressHook | None = None,
+    kind: str, plan: dict, spec: BuildSpec, field: PrimeField, seed: int,
+    sampler: FormSampler | None = None, progress: ProgressHook | None = None,
 ) -> tuple[int, float, float]:
     """Rank the plan's statement, whose forms spec holds, and bound it:
     (found, pull_seconds, rank_seconds), where a found above
@@ -475,18 +475,20 @@ def rank_and_bound(
 
     The s2 forms are the s1 forms followed by those of one more point
     (form_plan), so the s2 column stream begins with the s1 stream, and
-    from order 2 on it is the s1 stream.  Given `paired`, the sampler
-    that drew the s1 spec's forms, the s2 spec is prepared with it (a
-    sampler draws each key once, so it holds the s1 forms and draws only
-    the extra point's) and the s2 stream is ranked once; the s1 rank is
-    read at its mark, kept_column_count(spec), and both ranks are
-    bounded.  When the s2 rank is the expected one, the s2 read is handed
-    on, keyed by `kind` ("verify" or "reverify") and the exact stream:
-    family, t, i, eta, mu, prime and every form's bytes.  A lone call
-    whose key is that of `handed` (what take_handoff returned on entry)
-    takes the handed read instead of ranking: the same stream has the
-    same rank and the same bound, which the pass that made the read
-    checked.
+    from order 2 on it is the s1 stream.  Given `sampler`, the sampler
+    that drew spec's forms, an s1 plan is paired: the s2 spec is prepared
+    with it (a sampler draws each key once, so it holds the s1 forms and
+    draws only the extra point's) and the s2 stream is ranked once; the
+    s1 rank is read at its mark, kept_column_count(spec), and both ranks
+    are bounded.  A paired call hands its s2 read on when that is the
+    expected rank, and hands nothing on otherwise.  The read is keyed by
+    `kind` ("verify" or "reverify") and the exact stream: family, t, i,
+    eta, mu, prime and every form's bytes.  A lone call (no sampler, or
+    an s2 plan) whose key is the held one takes the read instead of
+    ranking and empties the hand-off: the same stream has the same rank
+    and the same bound, which the pass that made the read checked.  A
+    lone call with any other key leaves the hand-off as it is, so a read
+    lasts until it is taken or the next paired call replaces it.
 
     Columns are generated as the rank pulls them; the pulls and the
     preparation of the s2 spec are timed apart from the rank.  A block
@@ -498,14 +500,16 @@ def rank_and_bound(
     global _handoff
     tic = time.perf_counter()
     s2, stream = plan, spec
-    if paired is not None:
+    paired = sampler is not None and plan["branch"] == "s1"
+    if paired:
         config = config_for(spec.family)
         s2 = plan_statement(config, spec.t, "s2")
-        stream = prepare_build(config, spec.t, s2["i"], s2["eta"], s2["mu"], paired)
+        stream = prepare_build(config, spec.t, s2["i"], s2["eta"], s2["mu"], sampler)
     forms = tuple(coeffs.tobytes() for _, coeffs in stream.forms)
     key = (kind, stream.family, stream.t, stream.i, stream.eta, stream.mu, field.modulus, forms)
-    if paired is None and handed is not None and handed[0] == key:
-        return handed[1]
+    if not paired and _handoff is not None and _handoff[0] == key:
+        read, _handoff = _handoff[1], None
+        return read
     mark = kept_column_count(spec)
     pulled = time.perf_counter() - tic
     at = None
@@ -539,15 +543,15 @@ def rank_and_bound(
         pulls(column_blocks(stream, field)), stream.rows, field.modulus, total_cols=kept_column_count(stream),
         progress=hook,
     ))
-    read = end if paired is None else at or end
+    read = (at or end) if paired else end
     for bound, (found, _, _) in ((plan, read), (s2, end)):
         if found > bound["expected"]:
             raise RankContradiction(
                 f"{bound['family']} t={bound['t']} {bound['branch']}: rank {found} exceeds the expected "
                 f"dimension {bound['expected']}, an upper bound (seed {seed})"
             )
-    if paired is not None and end[0] == s2["expected"]:
-        _handoff = (key, end)
+    if paired:
+        _handoff = (key, end) if end[0] == s2["expected"] else None
     return read
 
 
@@ -579,18 +583,9 @@ def _outcome(
 
 
 # The one hand-off between calls: (key, read) for the s2 stream of the last
-# paired rank_and_bound call, which makes the key and the read (found,
-# pull_seconds, rank_seconds).  It holds a read, never a basis.
+# paired rank_and_bound call, the only code that reads or writes it; the
+# read is (found, pull_seconds, rank_seconds).  It holds a read, never a basis.
 _handoff: tuple | None = None
-
-
-def take_handoff() -> tuple | None:
-    """Empty the hand-off and return what it held, (key, read) or None.
-    verify_statement and certificate.reverify call it first, so a read is
-    only ever taken by the call right after the one that made it."""
-    global _handoff
-    held, _handoff = _handoff, None
-    return held
 
 
 def verify_statement(
@@ -616,13 +611,11 @@ def verify_statement(
     An s1 call's attempt 0 ranks its statement paired with s2 (see
     rank_and_bound), so its timings run up to the s1 mark, with the s2
     spec's preparation counted as construction; a shortfall at the mark
-    retries s1 alone.  An s2 call takes the read an s1 call just handed
-    on when its forms make the same stream at the same prime; its
-    timings are then its own preparation plus the whole pass.  Every
-    call empties the hand-off first, and a read made by
+    retries s1 alone.  An s2 call takes the read that an s1 call hands
+    on when its forms make the same stream at the same prime; its timings
+    are then its own preparation plus the whole pass.  A read made by
     certificate.reverify is never taken here.
     """
-    handed = take_handoff()
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     plan = plan_statement(config, t, branch)
@@ -636,8 +629,8 @@ def verify_statement(
         spec = prepare_build(config, t, plan["i"], plan["eta"], plan["mu"], sampler)
         resamples = sampler.resamples
         prepared = time.perf_counter() - tic
-        paired = sampler if branch == "s1" and attempt == 0 else None
-        found, *seconds = rank_and_bound("verify", plan, spec, field, attempt_seed, handed, paired, progress)
+        paired = sampler if attempt == 0 else None
+        found, *seconds = rank_and_bound("verify", plan, spec, field, attempt_seed, paired, progress)
         attempts.append((attempt_seed, found))
         if found == plan["expected"]:
             break

@@ -21,8 +21,8 @@ through parse/emit round-trips and excluded from the
 determinism guarantee; everything else is byte-reproducible from the
 seed.  An s1 statement is ranked paired with its s2 statement
 (bolattice.rank_and_bound), so its timing lines run up to the end of the
-s1 columns, and an s2 statement that takes the handed-on read covers its
-own preparation and the whole pass.
+s1 columns, and an s2 statement that takes the s2 read it hands on covers
+its own preparation and the whole pass.
 
 The shape line counts the full generator set of the statement
 (bolattice.column_count).  Verification and reverification rank the
@@ -49,14 +49,15 @@ recorded coefficients (a single flipped coefficient still yields a
 generic configuration of the same rank, so the rank check alone cannot
 see it).
 
-A pair is reverified in one rank pass, as it was verified: an s1
-certificate whose provenance is confirmed is ranked paired with s2 by
-bolattice.rank_and_bound, with the provenance check's sampler, which has
-just re-drawn the recorded s1 forms byte for byte.  The next
-reverification takes the handed-on s2 rank only if its own spec, rebuilt
-from its recorded forms, is that exact stream at that prime.  Either
-way, the rank reported for a certificate is that of the stream its own
-recorded forms build.
+A pair is reverified in one rank pass, as it was verified: reverify
+gives bolattice.rank_and_bound the provenance check's sampler, which has
+just re-drawn the recorded forms byte for byte, and rank_and_bound pairs
+an s1 certificate's statement with s2 and hands the s2 rank on.  A later
+reverification takes that rank, once, only if its own spec, rebuilt from
+its recorded forms, is that exact stream at that prime; the rank is held
+until then or until the next paired pass replaces it.  Either way, the
+rank reported for a certificate is that of the stream its own recorded
+forms build.
 """
 
 from __future__ import annotations
@@ -170,15 +171,19 @@ def emit_text(outcome: bolattice.VerificationOutcome) -> str:
     return render(from_outcome(outcome))
 
 
-_RE_SEED = re.compile(r"^Using random seed: (\d+)$")
-_RE_SHAPE = re.compile(r"^Need a (\d+) x (\d+) matrix\.$")
-_RE_FORM = re.compile(r"^([a-z]+)_\{(\d+(?:,\d+)*)\} = \[(.*)\]$")
-_RE_CONSTRUCT = re.compile(r"^Constructed T in .+s\.$")
-_RE_RANK = re.compile(r"^Computed the rank of the (\d+) x (\d+) matrix T over F_(\d+) in .+s\.$")
-_RE_FOUND = re.compile(r"^Found (\d+) vs\. (\d+) expected\.$")
+# Every number is ASCII digits only: re.ASCII keeps \d from matching other
+# scripts' digits, and coefficients and trailer counts must match _RE_DIGITS
+# before int() sees them, since int() also takes a sign, "_" and other digits.
+_RE_SEED = re.compile(r"^Using random seed: (\d+)$", re.ASCII)
+_RE_SHAPE = re.compile(r"^Need a (\d+) x (\d+) matrix\.$", re.ASCII)
+_RE_FORM = re.compile(r"^([a-z]+)_\{(\d+(?:,\d+)*)\} = \[(.*)\]$", re.ASCII)
+_RE_CONSTRUCT = re.compile(r"^Constructed T in .+s\.$", re.ASCII)
+_RE_RANK = re.compile(r"^Computed the rank of the (\d+) x (\d+) matrix T over F_(\d+) in .+s\.$", re.ASCII)
+_RE_FOUND = re.compile(r"^Found (\d+) vs\. (\d+) expected\.$", re.ASCII)
 _RE_STATEMENT = re.compile(
-    r"^T_(\d+)\((\d+), (\d+), (\d+)\) is (TRUE|UNVERIFIED) \((SUB|SUPER|EQUI)ABUNDANT\)$"
+    r"^T_(\d+)\((\d+), (\d+), (\d+)\) is (TRUE|UNVERIFIED) \((SUB|SUPER|EQUI)ABUNDANT\)$", re.ASCII
 )
+_RE_DIGITS = re.compile(r"[0-9]+")
 
 
 def parse(text: str) -> Certificate:
@@ -206,11 +211,10 @@ def parse(text: str) -> Certificate:
     forms = []
     while pos < len(lines) and (m := _RE_FORM.match(lines[pos])):
         base, idx, body = m.group(1), m.group(2), m.group(3)
-        try:
-            coeffs = tuple(int(v) for v in body.split())
-        except ValueError:
+        coeffs = body.split()
+        if not all(_RE_DIGITS.fullmatch(v) for v in coeffs):
             raise ParseError(pos + 1, f"bad coefficient list {body!r}")
-        forms.append((f"{base}_{{{idx}}}", coeffs))
+        forms.append((f"{base}_{{{idx}}}", tuple(int(v) for v in coeffs)))
         pos += 1
 
     construct_match = need(_RE_CONSTRUCT, "the construction timing line")
@@ -238,10 +242,9 @@ def parse(text: str) -> Certificate:
         if key in trailer:
             raise ParseError(pos + 1, f"repeated trailer key {key!r}")
         if key in ("retries", "resamples"):
-            try:
-                value = int(value)
-            except ValueError:
+            if not _RE_DIGITS.fullmatch(value):
                 raise ParseError(pos + 1, f"{key} must be an integer, got {value!r}")
+            value = int(value)
         trailer[key] = value
         pos += 1
     while pos < len(lines) and not lines[pos].strip():
@@ -334,11 +337,10 @@ def reverify(cert: Certificate) -> ReverifyReport:
     the rank step of verify_statement, so a recomputed rank above the
     plan's expected dimension raises bolattice.RankContradiction.  The rank
     check is independent of the original RNG; the provenance check runs
-    when the substream algorithm matches ours.  An s1 certificate with
-    confirmed provenance is ranked paired with s2 (see the module
-    docstring).
+    when the substream algorithm matches ours.  With confirmed provenance
+    the provenance check's sampler goes to rank_and_bound, which pairs an
+    s1 certificate with s2 (see the module docstring).
     """
-    handed = bolattice.take_handoff()
     family = cert.family or _infer_family(cert)
     config = bolattice.config_for(family)
     if cert.ell != config.ell:
@@ -365,9 +367,8 @@ def reverify(cert: Certificate) -> ReverifyReport:
     field = PrimeField(cert.prime)
     sampler = FormSampler(cert.seed, field)
     provenance = check_provenance(cert, spec, sampler)
-    paired = sampler if plan["branch"] == "s1" and provenance == "confirmed" else None
-    del sampler  # a lone rank does not hold its re-drawn forms
-    rank, _, _ = bolattice.rank_and_bound("reverify", plan, spec, field, cert.seed, handed, paired)
+    paired = sampler if provenance == "confirmed" else None
+    rank, _, _ = bolattice.rank_and_bound("reverify", plan, spec, field, cert.seed, paired)
 
     rank_matches = rank == cert.found
     verdict_confirmed = rank_matches and cert.verdict == "TRUE"

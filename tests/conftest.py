@@ -4,7 +4,7 @@ import chowdefect.bolattice as bo
 
 
 @pytest.fixture(autouse=True)
-def empty_handoff():
+def empty_handoff(monkeypatch):
     """Start every test with an empty hand-off, so that no test's call takes
     a rank read that another test's call handed on."""
-    bo.take_handoff()
+    monkeypatch.setattr(bo, "_handoff", None)

@@ -816,12 +816,13 @@ def test_rank_step_reads_each_leading_stream_at_its_mark():
         assert bo.kept_column_count(spec) == mark
         seen = []
         found, pulled, ranked = bo.rank_and_bound(
-            "verify", plan, spec, F, 5, None, sampler, lambda *report: seen.append(report)
+            "verify", plan, spec, F, 5, sampler, lambda *report: seen.append(report)
         )
         assert found == rank_from_column_blocks(bo.column_blocks(spec, F), spec.rows, F.modulus) == mark
         assert [done for done, _, _ in seen] == sorted({mark, *edges} - {0})
         assert {total for _, total, _ in seen} == {edges[-1]}
-        _, (s2_found, s2_pulled, _) = bo.take_handoff()
+        _, (s2_found, s2_pulled, _) = bo._handoff
+        bo._handoff = None
         assert s2_found == s2["expected"]
         assert 0 <= pulled <= s2_pulled and ranked >= 0  # the mark is read before the end
 
@@ -899,22 +900,39 @@ def test_handoff_goes_only_to_the_next_matching_s2_call(monkeypatch):
         assert ranks(*other) == 1, other
     ranks(QUAT, 5, "s1")
     ranks(CUB, 4, "s2")
-    assert ranks(QUAT, 5, "s2") == 1  # a call in between empties the hand-off
+    assert ranks(QUAT, 5, "s2") == 0  # a call in between leaves the read to its stream
     ranks(QUAT, 5, "s1")
     with pytest.raises(ValueError, match="start at t=2"):
-        ranks(QUAT, 1, "s1")  # even one that is refused
-    assert ranks(QUAT, 5, "s2") == 1
+        ranks(QUAT, 1, "s1")  # and so does one that is refused
+    assert ranks(QUAT, 5, "s2") == 0
     # what is handed on is the s2 rank read of one exact stream, keyed by the kind of call
     ranks(QUAT, 5, "s1")
-    key, read = bo.take_handoff()
+    key, read = bo._handoff
+    bo._handoff = None
     plan = bo.plan_statement(QUAT, 5, "s2")
     spec = bo.prepare_build(QUAT, 5, plan["i"], plan["eta"], plan["mu"], FormSampler(3, F))
     kind, family, t, *_, prime, forms = key
     assert (kind, family, t, prime) == ("verify", bo.QUATERNARY, 5, F.modulus)
     assert forms == tuple(coeffs.tobytes() for _, coeffs in spec.forms)
     assert len(read) == 3 and read[0] == plan["expected"]
-    assert bo.take_handoff() is None
-    assert ranks(QUAT, 5, "s2") == 1  # taken once, so gone
+    assert ranks(QUAT, 5, "s2") == 1  # emptied above, so ranked
+
+
+def test_a_sampler_with_an_s2_plan_ranks_alone(monkeypatch):
+    """rank_and_bound pairs only an s1 plan: given the sampler of an s2
+    spec it prepares no second spec, ranks that stream and hands nothing
+    on."""
+    calls = []
+    counting_rank(monkeypatch, calls)
+    plan = bo.plan_statement(QUAT, 16, "s2")
+    sampler = FormSampler(3, F)
+    spec = bo.prepare_build(QUAT, 16, plan["i"], plan["eta"], plan["mu"], sampler)
+    prepared = []
+    real = bo.prepare_build
+    monkeypatch.setattr(bo, "prepare_build", lambda *args: prepared.append(args) or real(*args))
+    found, _, _ = bo.rank_and_bound("verify", plan, spec, F, 3, sampler)
+    assert found == plan["expected"] and calls == [bo.kept_column_count(spec)]
+    assert prepared == [] and bo._handoff is None
 
 
 @pytest.mark.parametrize("cfg", (QUAT, CUB), ids=lambda c: c.family)

@@ -234,6 +234,29 @@ def test_non_integer_trailer_count_is_a_parse_error(tmp_path, capsys, bad, trail
     assert capsys.readouterr().err.startswith(f"parse failure: line {line_no}: ")
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@pytest.mark.parametrize("spelling", [
+    lambda n: f"+{n}", lambda n: f"{n[:1]}_{n[1:]}", lambda n: n.translate(ARABIC_INDIC),
+], ids=["sign", "underscore", "arabic-indic"])
+@pytest.mark.parametrize("line, number", [
+    ("Using random seed: 1452337571", "1452337571"),
+    ("l_{0,0} = [7354 6394  862 7318]", "862"),
+    ("retries=12", "12"),
+], ids=["seed", "coefficient", "retries"])
+def test_a_number_in_any_other_spelling_is_a_parse_error(line, number, spelling):
+    """Every number is ASCII digits: one that int() also reads, with a sign,
+    an underscore or another script's digits, is a parse error at its line,
+    so what parses renders back to the same text."""
+    text = EXTERNAL_CERT + REAL_TRAILER.replace("retries=0", "retries=12")
+    assert cert.render(cert.parse(text)) == text
+    assert int(spelling(number)) == int(number)
+    with pytest.raises(cert.ParseError) as err:
+        cert.parse(text.replace(line, line.replace(number, spelling(number))))
+    assert err.value.line_no == text.splitlines().index(line) + 1
+
+
 def test_oversized_coefficient_rejected():
     bad = EXTERNAL_CERT.replace("[7354", "[8191")
     with pytest.raises(cert.InvariantViolation):
@@ -532,7 +555,7 @@ def test_paired_reports_equal_lone_ones(monkeypatch, config, t):
     counting_ranks(monkeypatch, calls)
     paired = [cert.reverify(cert.parse(text)) for text in (s1, s2)]
     assert len(calls) == 1
-    bo.take_handoff()
+    bo._handoff = None
     assert paired == [lone_s1_report(s1), cert.reverify(cert.parse(s2))]
     assert len(calls) == 2  # the lone s2 reverify ranked its own stream
     assert all(r.ok and r.provenance == "confirmed" for r in paired)
@@ -565,34 +588,31 @@ def test_an_unconfirmed_s1_certificate_hands_nothing_on(monkeypatch, edit):
     report = cert.reverify(cert.parse(s1))
     assert report.provenance == ("mismatch" if edit == "tampered" else "unknown")
     assert calls == [bo.plan_statement(QUAT, 16, "s1")["expected"]]  # the s1 stream alone
-    assert bo.take_handoff() is None
+    assert bo._handoff is None
     assert cert.reverify(cert.parse(s2)).ok and len(calls) == 2
 
 
 def test_a_read_goes_only_to_a_call_of_the_kind_that_made_it(monkeypatch):
     """A rank read handed on by verify_statement is never taken by reverify,
     and one handed on by reverify never by verify_statement, even when the
-    stream is the same and nothing empties the hand-off in between."""
+    stream is the same and the read is still held."""
     calls = []
     counting_ranks(monkeypatch, calls)
     s1 = cert.emit_text(bo.verify_statement(QUAT, 5, "s1", seed=3, field=F))
     s2 = cert.emit_text(bo.verify_statement(QUAT, 5, "s2", seed=3, field=F))
     assert len(calls) == 1
     bo.verify_statement(QUAT, 5, "s1", seed=3, field=F)
-    held = bo.take_handoff()
+    held = bo._handoff
     assert held[0][0] == "verify"
-    with monkeypatch.context() as m:
-        m.setattr(bo, "take_handoff", lambda: held)
-        assert cert.reverify(cert.parse(s2)).ok
-    assert len(calls) == 3
+    assert cert.reverify(cert.parse(s2)).ok
+    assert len(calls) == 3 and bo._handoff is held
     cert.reverify(cert.parse(s1))
-    held = bo.take_handoff()
+    held = bo._handoff
     assert held[0][0] == "reverify" and len(calls) == 4
-    with monkeypatch.context() as m:
-        m.setattr(bo, "take_handoff", lambda: held)
-        assert bo.verify_statement(QUAT, 5, "s2", seed=3, field=F).verdict == "TRUE"
-    assert len(calls) == 5
-    # in a plain sequence, each call empties what the other kind handed on
+    assert bo.verify_statement(QUAT, 5, "s2", seed=3, field=F).verdict == "TRUE"
+    assert len(calls) == 5 and bo._handoff is held
+    bo._handoff = None
+    # in a plain sequence, no call takes what the other kind handed on
     bo.verify_statement(QUAT, 5, "s1", seed=3, field=F)
     cert.reverify(cert.parse(s2))
     cert.reverify(cert.parse(s1))
@@ -606,7 +626,7 @@ def test_rank_above_the_s2_bound_in_an_s1_reverify_pass_is_a_contradiction(monke
     counting_ranks(monkeypatch, calls, end=lambda rank: rank + 1)
     with pytest.raises(bo.RankContradiction, match="quaternary t=16 s2"):
         cert.reverify(cert.parse(s1))
-    assert bo.take_handoff() is None
+    assert bo._handoff is None
     assert cert.reverify(cert.parse(s2)).ok and len(calls) == 2
 
 

@@ -148,11 +148,11 @@ def test_closed_stdout_pipe_exits_0():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     # unbuffered, so the first line written inside main meets the closed pipe
-    proc = subprocess.Popen([sys.executable, "-u", "-m", "chowdefect", "schedule", "--family", "quaternary"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0 and b"Traceback" not in err
+    with subprocess.Popen([sys.executable, "-u", "-m", "chowdefect", "schedule", "--family", "quaternary"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0 and b"Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, env", [
